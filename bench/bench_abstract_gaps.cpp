@@ -47,9 +47,7 @@ int main() {
                                                       {"qmap", "250x"},
                                                       {"tket", "330x"}};
 
-    eval::toolbox_options toolbox;
-    toolbox.sabre.trials = sabre_trials;
-    const auto tools = eval::paper_toolbox(toolbox);
+    const auto tools = eval::paper_toolbox(sabre_trials);
 
     std::map<std::string, double> gap_sum;
     std::map<std::string, int> gap_count;
@@ -69,15 +67,14 @@ int main() {
         spec.base_seed = 424242;
         const core::suite s = core::generate_suite(device, spec);
 
-        eval::toolbox_options tb = toolbox;
-        if (device.num_qubits() > 100 && bench::bench_scale() != bench::scale::paper) {
-            tb.sabre.trials = 24;
-        }
+        const int trials = device.num_qubits() > 100 && bench::bench_scale() != bench::scale::paper
+                               ? 24
+                               : sabre_trials;
         // Shared per-device routing context: the 4-tool lineup reuses one
-        // distance matrix across every circuit of the sweep.
+        // distance provider across every circuit of the sweep.
         const auto result = eval::evaluate_suite(
             s, device,
-            eval::paper_toolbox(tb, tools::make_routing_context(device.coupling)));
+            eval::paper_toolbox(trials, /*seed=*/1, tools::make_routing_context(device.coupling)));
         if (result.invalid_runs != 0) {
             std::printf("ERROR: %d invalid routed circuits on %s\n", result.invalid_runs,
                         device.name.c_str());

@@ -2,7 +2,7 @@
 //
 // Two layers:
 //   1. Timed sections (always built) covering the hot paths this repo
-//      optimizes — distance_matrix construction, a single routing pass,
+//      optimizes — dense distance construction, a single routing pass,
 //      and the 32-trial SABRE engine at 1, 2 and hardware_concurrency
 //      threads — emitted as machine-readable BENCH_micro.json so the
 //      perf trajectory is tracked PR over PR.
@@ -106,17 +106,22 @@ double best_seconds(int reps, Fn&& fn) {
     return best;
 }
 
-json::array time_distance_matrix(int reps) {
+/// Dense provider construction (all-pairs BFS into one slab). Reported
+/// under the "distance_matrix" section key, the name the regression gate
+/// and BENCH_baseline.json track it by.
+json::array time_dense_distances(int reps) {
+    distance_options dense;
+    dense.mode = distance_options::storage_mode::dense;
     json::array out;
     for (int i = 0; i < 4; ++i) {
         const auto& device = device_by_index(i);
         volatile int sink = 0;
         const double seconds = best_seconds(reps, [&] {
-            const distance_matrix dist(device.coupling);
+            const distance_provider dist(device.coupling, dense);
             sink = dist.diameter();
         });
         (void)sink;
-        std::printf("  distance_matrix  %-12s %9.1f us\n", device.name.c_str(),
+        std::printf("  dense_distances  %-12s %9.1f us\n", device.name.c_str(),
                     seconds * 1e6);
         out.push_back(json::object{{"arch", device.name},
                                    {"reps", reps},
@@ -133,9 +138,8 @@ json::value time_route_pass(int reps, std::size_t gates) {
     router::sabre_options options;
     std::size_t swaps = 0;
     const double seconds = best_seconds(reps, [&] {
-        const auto routed =
-            router::route_sabre_with_initial(instance.logical, device.coupling,
-                                             initial, options);
+        const auto routed = router::route_sabre_with_initial(
+            instance.logical, distance_provider(device.coupling), initial, options);
         swaps = routed.swap_count();
     });
     std::printf("  route_pass       %-12s %9.1f us  (%zu gates, %zu swaps)\n",
@@ -163,14 +167,14 @@ json::value time_obs_overhead(int reps, std::size_t gates) {
     std::size_t swaps_off = 0;
     obs::set_enabled(true);
     const double seconds_enabled = best_seconds(obs_reps, [&] {
-        swaps_on = router::route_sabre_with_initial(instance.logical, device.coupling,
-                                                    initial, options)
+        swaps_on = router::route_sabre_with_initial(
+                       instance.logical, distance_provider(device.coupling), initial, options)
                        .swap_count();
     });
     obs::set_enabled(false);
     const double seconds_disabled = best_seconds(obs_reps, [&] {
-        swaps_off = router::route_sabre_with_initial(instance.logical, device.coupling,
-                                                     initial, options)
+        swaps_off = router::route_sabre_with_initial(
+                        instance.logical, distance_provider(device.coupling), initial, options)
                         .swap_count();
     });
     obs::set_enabled(was_enabled);
@@ -205,11 +209,12 @@ json::value time_candidate_swaps(int reps, std::size_t gates) {
     const router::dag_frontier frontier(dag);
     const mapping current =
         mapping::identity(instance.logical.num_qubits(), device.num_qubits());
+    const distance_provider dist(device.coupling);
     const int calls = 2000;
     std::vector<edge> out;  // reused across calls, as in the routers
     const double seconds = best_seconds(reps, [&] {
         for (int i = 0; i < calls; ++i) {
-            router::candidate_swaps(frontier.front(), dag, device.coupling, current, out);
+            router::candidate_swaps(frontier.front(), dag, dist, current, out);
         }
     });
     const double per_call_us = seconds / calls * 1e6;
@@ -311,7 +316,8 @@ json::value time_sabre_trials(std::size_t gates, int trials) {
         router::sabre_stats stats;
         stopwatch timer;
         const auto routed =
-            router::route_sabre(instance.logical, device.coupling, options, &stats);
+            router::route_sabre(instance.logical, distance_provider(device.coupling), options,
+                                &stats);
         const double seconds = timer.seconds();
         if (threads == 1) serial_seconds = seconds;
         const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
@@ -374,7 +380,7 @@ json::value time_trial_arena(std::size_t gates, bool& ok) {
         options.trials = trials;
         options.threads = 1;
         const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-        (void)router::route_sabre(instance.logical, device.coupling, dist, options);
+        (void)router::route_sabre(instance.logical, dist, options);
         return g_alloc_count.load(std::memory_order_relaxed) - before;
     };
 
@@ -418,7 +424,7 @@ json::value time_sabre_portfolio(std::size_t gates, bool& ok) {
     plain.threads = 1;
     router::sabre_stats plain_stats;
     const double plain_seconds = best_seconds(1, [&] {
-        (void)router::route_sabre(instance.logical, device.coupling, dist, plain, &plain_stats);
+        (void)router::route_sabre(instance.logical, dist, plain, &plain_stats);
     });
 
     router::sabre_options portfolio = plain;
@@ -426,8 +432,7 @@ json::value time_sabre_portfolio(std::size_t gates, bool& ok) {
     portfolio.portfolio_patience = 0;  // schedule every trial; cuts do the saving
     router::sabre_stats port_stats;
     const double port_seconds = best_seconds(1, [&] {
-        (void)router::route_sabre(instance.logical, device.coupling, dist, portfolio,
-                                  &port_stats);
+        (void)router::route_sabre(instance.logical, dist, portfolio, &port_stats);
     });
 
     const double work_ratio =
@@ -532,9 +537,9 @@ json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
     options.trials = 4;
     options.threads = 1;
     router::force_simd_backend(router::simd_backend::scalar);
-    const auto routed_scalar = router::route_sabre(instance.logical, device.coupling, dist, options);
+    const auto routed_scalar = router::route_sabre(instance.logical, dist, options);
     router::reset_simd_backend_from_env();
-    const auto routed_auto = router::route_sabre(instance.logical, device.coupling, dist, options);
+    const auto routed_auto = router::route_sabre(instance.logical, dist, options);
     const bool identical_swaps =
         routed_scalar.swap_count() == routed_auto.swap_count() &&
         routed_scalar.physical.gates() == routed_auto.physical.gates();
@@ -576,10 +581,8 @@ json::value time_distance_lazy(bool& ok) {
     lazy_opts.mode = distance_options::storage_mode::lazy;
     const distance_provider dense_dist(equiv_device.coupling, dense_opts);
     const distance_provider lazy_dist(equiv_device.coupling, lazy_opts);
-    const auto routed_dense =
-        router::route_sabre(instance.logical, equiv_device.coupling, dense_dist, options);
-    const auto routed_lazy =
-        router::route_sabre(instance.logical, equiv_device.coupling, lazy_dist, options);
+    const auto routed_dense = router::route_sabre(instance.logical, dense_dist, options);
+    const auto routed_lazy = router::route_sabre(instance.logical, lazy_dist, options);
     const bool identical_swaps =
         routed_dense.swap_count() == routed_lazy.swap_count() &&
         routed_dense.physical.gates() == routed_lazy.physical.gates();
@@ -603,7 +606,7 @@ json::value time_distance_lazy(bool& ok) {
     const distance_provider big_dist(big.coupling);
     std::size_t big_swaps = 0;
     const double seconds_route = best_seconds(1, [&] {
-        big_swaps = router::route_sabre_with_initial(logical, big.coupling, big_dist, initial)
+        big_swaps = router::route_sabre_with_initial(logical, big_dist, initial)
                         .swap_count();
     });
     const double row_fraction =
@@ -652,7 +655,7 @@ int run_timed_sections() {
         static_cast<std::size_t>(std::thread::hardware_concurrency());
     doc["resolved_threads"] = thread_pool::resolve_threads(0);
     bool ok = true;
-    doc["distance_matrix"] = time_distance_matrix(reps);
+    doc["distance_matrix"] = time_dense_distances(reps);
     doc["candidate_swaps"] = time_candidate_swaps(reps, gates);
     doc["route_pass"] = time_route_pass(reps, gates);
     doc["obs_overhead"] = time_obs_overhead(reps, gates);
@@ -713,14 +716,16 @@ void bm_vf2_nonisomorphism(benchmark::State& state) {
 }
 BENCHMARK(bm_vf2_nonisomorphism)->DenseRange(0, 3);
 
-void bm_distance_matrix(benchmark::State& state) {
+void bm_dense_distances(benchmark::State& state) {
     const auto& device = device_by_index(static_cast<int>(state.range(0)));
+    distance_options dense;
+    dense.mode = distance_options::storage_mode::dense;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(distance_matrix(device.coupling));
+        benchmark::DoNotOptimize(distance_provider(device.coupling, dense));
     }
     state.SetLabel(device.name);
 }
-BENCHMARK(bm_distance_matrix)->DenseRange(0, 3);
+BENCHMARK(bm_dense_distances)->DenseRange(0, 3);
 
 void bm_gate_dag(benchmark::State& state) {
     const auto instance = make_instance(arch::sycamore54(), 10, 1500);
@@ -750,7 +755,7 @@ void bm_route_sabre_1trial(benchmark::State& state) {
         router::sabre_options options;
         options.trials = 1;
         benchmark::DoNotOptimize(
-            router::route_sabre(instance.logical, device.coupling, options));
+            router::route_sabre(instance.logical, distance_provider(device.coupling), options));
     }
     state.SetLabel(device.name);
 }
@@ -760,7 +765,8 @@ void bm_route_tket(benchmark::State& state) {
     const auto device = arch::sycamore54();
     const auto instance = make_instance(device, 10, 1500);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(router::route_tket(instance.logical, device.coupling));
+        benchmark::DoNotOptimize(
+            router::route_tket(instance.logical, distance_provider(device.coupling)));
     }
 }
 BENCHMARK(bm_route_tket);
@@ -769,7 +775,8 @@ void bm_route_qmap(benchmark::State& state) {
     const auto device = arch::aspen4();
     const auto instance = make_instance(device, 10, 300);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(router::route_qmap(instance.logical, device.coupling));
+        benchmark::DoNotOptimize(
+            router::route_qmap(instance.logical, distance_provider(device.coupling)));
     }
 }
 BENCHMARK(bm_route_qmap);
@@ -779,7 +786,8 @@ void bm_route_mlqls(benchmark::State& state) {
     const auto instance = make_instance(device, 10, 1500);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            router::route_mlqls(instance.logical, device.coupling, router::mlqls_options{}));
+            router::route_mlqls(instance.logical, distance_provider(device.coupling),
+                                router::mlqls_options{}));
     }
 }
 BENCHMARK(bm_route_mlqls);

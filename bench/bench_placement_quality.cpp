@@ -48,6 +48,7 @@ int main() {
             double distance = 0;
         };
         accumulator sabre_acc, mlqls_acc, greedy_acc;
+        const distance_provider dist(device.coupling);
 
         for (int seed = 1; seed <= per_config; ++seed) {
             core::generator_options options;
@@ -71,18 +72,16 @@ int main() {
 
             router::sabre_options so;
             so.trials = trials;
-            const auto sabre = router::route_sabre(instance.logical, device.coupling, so);
+            const auto sabre = router::route_sabre(instance.logical, dist, so);
             record("lightsabre", sabre_acc, sabre.initial, sabre.swap_count());
 
             router::mlqls_options mo;
-            const auto ml = router::route_mlqls(instance.logical, device.coupling, mo);
+            const auto ml = router::route_mlqls(instance.logical, dist, mo);
             record("mlqls", mlqls_acc, ml.initial, ml.swap_count());
 
-            const distance_provider dist(device.coupling);
-            const mapping greedy =
-                router::greedy_placement(instance.logical, device.coupling, dist);
-            const auto greedy_routed = router::route_sabre_with_initial(
-                instance.logical, device.coupling, greedy);
+            const mapping greedy = router::greedy_placement(instance.logical, dist);
+            const auto greedy_routed =
+                router::route_sabre_with_initial(instance.logical, dist, greedy);
             record("greedy+route", greedy_acc, greedy, greedy_routed.swap_count());
         }
 

@@ -63,7 +63,7 @@ int main() {
             router::sabre_options sabre;
             sabre.trials = trials;
             const auto routed =
-                router::route_sabre(instance.logical, device.coupling, dist, sabre);
+                router::route_sabre(instance.logical, dist, sabre);
             const auto report =
                 validate_routed(instance.logical, routed, device.coupling);
             if (!report.valid) {
@@ -112,8 +112,7 @@ int main() {
         const distance_provider dist(device.coupling);
         const mapping initial = mapping::identity(kSweepQubits, device.num_qubits());
         const auto start = std::chrono::steady_clock::now();
-        const auto routed = router::route_sabre_with_initial(sweep_circuit, device.coupling,
-                                                             dist, initial);
+        const auto routed = router::route_sabre_with_initial(sweep_circuit, dist, initial);
         const double seconds = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - start)
                                    .count();

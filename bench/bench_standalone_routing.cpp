@@ -34,6 +34,7 @@ int main() {
     csv::writer raw({"arch", "router", "designed_n", "seed", "swaps"});
 
     for (const auto& device : {arch::aspen4(), arch::rochester53()}) {
+        const distance_provider dist(device.coupling);
         for (const int swaps : {5, 10}) {
             double sabre_total = 0.0;
             double tket_total = 0.0;
@@ -47,12 +48,12 @@ int main() {
                 const auto instance = core::generate(device, options);
                 const mapping& optimal_initial = instance.answer.initial;
 
-                const auto sabre = router::route_sabre_with_initial(
-                    instance.logical, device.coupling, optimal_initial);
-                const auto tket = router::route_tket_with_initial(
-                    instance.logical, device.coupling, optimal_initial);
-                const auto qmap = router::route_qmap_with_initial(
-                    instance.logical, device.coupling, optimal_initial);
+                const auto sabre =
+                    router::route_sabre_with_initial(instance.logical, dist, optimal_initial);
+                const auto tket =
+                    router::route_tket_with_initial(instance.logical, dist, optimal_initial);
+                const auto qmap =
+                    router::route_qmap_with_initial(instance.logical, dist, optimal_initial);
                 for (const auto& [name, routed] :
                      {std::pair{"sabre", &sabre}, {"tket", &tket}, {"qmap", &qmap}}) {
                     const auto report =

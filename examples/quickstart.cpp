@@ -37,10 +37,12 @@ int main() {
     std::printf("structural verification: %s\n",
                 verification.valid ? "PASS" : verification.error.c_str());
 
-    // 4. Route with SABRE (LightSABRE = SABRE + many trials).
+    // 4. Route with SABRE (LightSABRE = SABRE + many trials). Routers
+    //    read the coupling graph and its distances from one provider.
     router::sabre_options sabre;
     sabre.trials = 64;
-    const routed_circuit routed = router::route_sabre(instance.logical, device.coupling, sabre);
+    const distance_provider dist(device.coupling);
+    const routed_circuit routed = router::route_sabre(instance.logical, dist, sabre);
 
     // 5. Validate the tool's output and report the optimality gap.
     const auto report = validate_routed(instance.logical, routed, device.coupling);

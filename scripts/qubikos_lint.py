@@ -26,6 +26,11 @@ C++ code silently breaks that promise:
            path; a vector or string constructed per iteration turns an
            O(1) step into an allocator call.  Hoist the container and
            clear()/reuse it.
+  LAYER-001 a distance_provider constructed (or owned by value) under
+           src/router/.  Routers receive distances from their caller, which
+           builds one provider per device and shares it; a router that
+           builds its own would silently rebuild O(V^2) state per call and
+           could read distances of a different graph than it routes on.
   LINT-001 suppression directive without a reason (see below).
   LINT-002 suppression directive that matched no finding (stale allow).
   LINT-003 a file on the REQUIRED_HOT_PATH list is missing its
@@ -52,7 +57,8 @@ same directory is also scanned for unordered-container member declarations,
 but no other cross-file resolution happens.  The tradeoff is pinned by
 --self-test, which runs every fixture under scripts/lint_fixtures/ and
 requires each `// expect: RULE` annotation to fire exactly where written
-and nothing else to fire at all.
+and nothing else to fire at all.  A fixture for a path-scoped rule names
+the path it stands in for with a `// lint-fixture-path: src/...` line.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ RULES = {
     "DET-002": "ambient nondeterminism (rand/random_device/wall clock)",
     "DET-003": "address-dependent ordering or hashing",
     "PERF-001": "allocation inside a loop in a hot-path file",
+    "LAYER-001": "router constructs a distance_provider (routers receive distances)",
     "LINT-001": "qubikos-lint suppression without a reason",
     "LINT-002": "qubikos-lint suppression matched no finding",
     "LINT-003": "required hot-path file is missing its hot-path marker",
@@ -82,6 +89,21 @@ REQUIRED_HOT_PATH = {
     "src/router/sabre.cpp",
     "src/router/score_kernel.cpp",
 }
+
+# Files under this prefix receive distances and never build them.
+ROUTER_PREFIX = "src/router/"
+
+# By-value declarations (`distance_provider d(g);`, `distance_provider d;`,
+# `= distance_provider(...)`), temporaries and `new` (`distance_provider(`
+# / `distance_provider{`), and template arguments that own or allocate
+# one (`make_shared<distance_provider>`, `std::optional<distance_provider>`).
+# References and pointers (`distance_provider&`, `distance_provider*`) pass.
+LAYER1_PATTERNS = [
+    re.compile(r"\bdistance_provider\s+[A-Za-z_]\w*\s*[;({=]"),
+    re.compile(r"\bdistance_provider\s*[({]"),
+    re.compile(r"<\s*(?:const\s+)?(?:qubikos::)?distance_provider\s*>"),
+]
+FIXTURE_PATH_RE = re.compile(r"//\s*lint-fixture-path:\s*(?P<path>\S+)")
 
 ALLOW_RE = re.compile(r"//\s*qubikos-lint:\s*allow\((?P<rule>[A-Z]+-\d+)\)\s*(?P<reason>.*)")
 HOT_PATH_RE = re.compile(r"//\s*qubikos-lint:\s*hot-path\b")
@@ -324,9 +346,15 @@ def lint_file(path: str, rel: str) -> tuple[list[Finding], int]:
         add(1, "LINT-003",
             "routing hot-path file must carry a `// qubikos-lint: hot-path` marker")
 
+    in_router = rel.replace(os.sep, "/").startswith(ROUTER_PREFIX)
     depths = loop_depths(ft.code_lines)
     for idx, code in enumerate(ft.code_lines):
         line_no = idx + 1
+
+        # LAYER-001 ------------------------------------------------------
+        if in_router and any(pat.search(code) for pat in LAYER1_PATTERNS):
+            add(line_no, "LAYER-001",
+                "distance_provider constructed in a router (take it as a const& parameter)")
 
         # DET-001 --------------------------------------------------------
         for m in RANGE_FOR_RE.finditer(code):
@@ -463,6 +491,9 @@ def run_self_test(root: str) -> int:
         for idx, line in enumerate(raw_lines):
             for m in EXPECT_RE.finditer(line):
                 expected.add((idx + 1, m.group("rule")))
+            m = FIXTURE_PATH_RE.search(line)
+            if m:
+                rel = m.group("path")
         findings, suppressed = lint_file(path, rel)
         actual = {(f.line, f.rule) for f in findings if not f.suppressed}
         checked += 1

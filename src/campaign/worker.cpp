@@ -45,19 +45,12 @@ bool witness_executes(const circuit& logical, const mapping& witness, const grap
     return true;
 }
 
-/// The spec-level knobs as registry overrides for one variant:
-/// sabre_trials feeds lightsabre's trial count and toolbox_seed every
-/// seeded tool — exactly what the pre-registry worker toolbox did — and
-/// the variant's own overrides win on top.
+/// The spec-level knobs (sabre_trials, toolbox_seed) as registry
+/// overrides for one variant — the same mapping eval::paper_toolbox
+/// uses — with the variant's own overrides winning on top.
 json::value campaign_tool_overrides(const campaign_spec& spec, const tool_variant& variant) {
-    const tools::tool_info& info = tools::tool_registry_info(variant.name);
-    json::object merged;
-    if (variant.name == "lightsabre" && info.find_option("trials") != nullptr) {
-        merged["trials"] = spec.sabre_trials;
-    }
-    if (info.find_option("seed") != nullptr) {
-        merged["seed"] = static_cast<std::int64_t>(spec.toolbox_seed);
-    }
+    json::object merged =
+        tools::lineup_overrides(variant.name, spec.sabre_trials, spec.toolbox_seed).as_object();
     if (variant.has_options()) {
         for (const auto& [key, value] : variant.options.as_object()) merged[key] = value;
     }
@@ -73,7 +66,7 @@ struct unit_executor::impl {
         if (spec.mode != campaign_mode::tools) return;
 
         // One routing context per distinct architecture — every variant
-        // bound to a device shares its distance matrix — and one lineup
+        // bound to a device shares its distance provider — and one lineup
         // per suite (tools are device-bound through their context).
         std::map<std::string, std::shared_ptr<const tools::routing_context>> contexts;
         const auto variants = resolved_tool_variants(spec);

@@ -15,7 +15,8 @@ case_study_result analyze_lightsabre(const core::benchmark_instance& instance,
     };
 
     const routed_circuit routed = router::route_sabre_with_initial(
-        instance.logical, coupling, instance.answer.initial, options, observer);
+        instance.logical, distance_provider(coupling), instance.answer.initial, options,
+        observer);
     result.sabre_swaps = routed.swap_count();
 
     // The reference optimal swap sequence, in order.

@@ -6,6 +6,7 @@
 // reported by the benches — none of the shipped tools produce one).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,10 +16,6 @@
 #include "circuit/routed.hpp"
 #include "core/suite.hpp"
 #include "eval/metrics.hpp"
-#include "router/mlqls.hpp"
-#include "router/qmap.hpp"
-#include "router/sabre.hpp"
-#include "router/tket.hpp"
 
 namespace qubikos::tools {
 class routing_context;  // tools/context.hpp (tools/ sits above eval/)
@@ -37,36 +34,27 @@ struct tool_run_stats {
 };
 
 /// A named QLS tool: circuit + coupling graph -> routed circuit.
-/// Tools that can report router-internal statistics additionally set
-/// `run_stats`; the harness prefers it when present (identical routing —
-/// same options, same seed — just with the stats surfaced instead of
-/// dropped). Aggregate initialization `{"name", fn}` stays valid.
+/// `run_stats` is the same routing (same options, same seed) with any
+/// router-internal statistics surfaced; the harness prefers it when set.
+/// Registry tools set both, leaving tool_run_stats::present false when
+/// the router has nothing to report. Aggregate initialization
+/// `{"name", fn}` stays valid.
 struct tool {
     std::string name;
     std::function<routed_circuit(const circuit&, const graph&)> run;
     std::function<routed_circuit(const circuit&, const graph&, tool_run_stats&)> run_stats;
 };
 
-/// The paper's four tools with knobs. `sabre.trials` is the LightSABRE
-/// trial count — 32 by default here, 1000 in the paper (benches scale it
-/// down and say so). It is the single source of truth for the trial
-/// count: there is deliberately no separate sabre_trials member.
-struct toolbox_options {
-    std::uint64_t seed = 1;
-    router::sabre_options sabre{.trials = 32};
-    router::tket_options tket;
-    router::qmap_options qmap;
-    router::mlqls_options mlqls;
-};
-
 /// Builds the standard four-tool lineup (lightsabre, mlqls, qmap, tket)
-/// by querying the tool registry (tools/registry.hpp) — the lineup,
-/// docs and option schemas live there; this is a convenience wrapper
-/// that maps the option structs onto registry overrides. A non-null
-/// `context` (see tools::make_routing_context) lets every tool share one
-/// precomputed distance matrix for the device it will run on.
+/// by querying the tool registry (tools/registry.hpp), which holds the
+/// lineup, docs and option schemas. `sabre_trials` is the LightSABRE
+/// trial count — 32 by default here, 1000 in the paper (benches scale it
+/// down and say so) — and `seed` feeds every seeded tool; every other
+/// knob keeps its registry default. A non-null `context` (see
+/// tools::make_routing_context) lets every tool share one distance
+/// provider for the device it will run on.
 [[nodiscard]] std::vector<tool> paper_toolbox(
-    const toolbox_options& options = {},
+    int sabre_trials = 32, std::uint64_t seed = 1,
     std::shared_ptr<const tools::routing_context> context = nullptr);
 
 struct evaluation_result {

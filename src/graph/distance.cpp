@@ -1,8 +1,8 @@
 #include "graph/distance.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "util/thread_pool.hpp"
@@ -24,7 +24,7 @@ void bfs_row(const graph& g, int source, std::int32_t* row, std::int32_t* fronti
         const std::int32_t u = frontier[head++];
         const std::int32_t du = row[u];
         for (const int w : g.neighbors(u)) {
-            if (row[w] == distance_matrix::unreachable()) {
+            if (row[w] == distance_provider::unreachable()) {
                 row[w] = du + 1;
                 frontier[tail++] = static_cast<std::int32_t>(w);
             }
@@ -38,44 +38,6 @@ constexpr int kParallelBuildThreshold = 64;
 
 }  // namespace
 
-distance_matrix::distance_matrix(const graph& g) : n_(g.num_vertices()) {
-    // One allocation sized up front; each BFS writes its row in place.
-    // Rows are disjoint and each is produced by the same serial BFS, so
-    // the parallel build is bit-identical to the serial one.
-    const auto n = static_cast<std::size_t>(n_);
-    dist_.assign(n * n, unreachable());
-    if (n_ >= kParallelBuildThreshold) {
-        thread_pool& pool = thread_pool::shared();
-        std::vector<std::vector<std::int32_t>> frontiers(pool.size(),
-                                                         std::vector<std::int32_t>(n));
-        pool.parallel_for_slots(
-            0, n, pool.size(),
-            [&](std::size_t v, std::size_t slot) {
-                bfs_row(g, static_cast<int>(v), dist_.data() + v * n,
-                        frontiers[slot].data());
-            },
-            /*chunk=*/8);
-    } else {
-        std::vector<std::int32_t> frontier(n);
-        for (int v = 0; v < n_; ++v) {
-            bfs_row(g, v, dist_.data() + static_cast<std::size_t>(v) * n, frontier.data());
-        }
-    }
-}
-
-int distance_matrix::at(int u, int v) const {
-    if (u < 0 || v < 0 || u >= n_ || v >= n_) {
-        throw std::out_of_range("distance_matrix::at: vertex out of range");
-    }
-    return (*this)(u, v);
-}
-
-int distance_matrix::diameter() const {
-    int best = 0;
-    for (const std::int32_t d : dist_) best = std::max(best, static_cast<int>(d));
-    return best;
-}
-
 distance_options distance_options::from_env() {
     distance_options options;
     const char* raw = std::getenv("QUBIKOS_LAZY_DIST");
@@ -86,27 +48,48 @@ distance_options distance_options::from_env() {
     } else if (value == "lazy") {
         options.mode = storage_mode::lazy;
     } else {
-        try {
-            const int threshold = std::stoi(value);
-            if (threshold > 0) options.lazy_threshold = threshold;
-        } catch (const std::exception&) {
-            // Unrecognized value: keep the automatic policy.
+        // The whole value must be a positive integer; anything else
+        // (including "1e3" or "64k") keeps the automatic policy.
+        int threshold = 0;
+        const char* end = value.data() + value.size();
+        const auto [ptr, ec] = std::from_chars(value.data(), end, threshold);
+        if (ec == std::errc() && ptr == end && threshold > 0) {
+            options.lazy_threshold = threshold;
         }
     }
     return options;
 }
 
 distance_provider::distance_provider(const graph& g, distance_options options)
-    : n_(g.num_vertices()) {
+    : n_(g.num_vertices()), graph_(g) {
+    const auto n = static_cast<std::size_t>(n_);
     if (options.use_lazy(n_)) {
-        graph_ = g;
-        rows_ = std::vector<std::atomic<const std::int32_t*>>(
-            static_cast<std::size_t>(n_));
+        rows_ = std::vector<std::atomic<const std::int32_t*>>(n);
         for (auto& row : rows_) row.store(nullptr, std::memory_order_relaxed);
-    } else {
-        matrix_ = distance_matrix(g);
-        dense_ = matrix_.data();
+        return;
     }
+    // One allocation sized up front; each BFS writes its row in place.
+    // Rows are disjoint and each is produced by the same serial BFS, so
+    // the parallel build is bit-identical to the serial one.
+    matrix_.assign(n * n, unreachable());
+    if (n_ >= kParallelBuildThreshold) {
+        thread_pool& pool = thread_pool::shared();
+        std::vector<std::vector<std::int32_t>> frontiers(pool.size(),
+                                                         std::vector<std::int32_t>(n));
+        pool.parallel_for_slots(
+            0, n, pool.size(),
+            [&](std::size_t v, std::size_t slot) {
+                bfs_row(g, static_cast<int>(v), matrix_.data() + v * n,
+                        frontiers[slot].data());
+            },
+            /*chunk=*/8);
+    } else {
+        std::vector<std::int32_t> frontier(n);
+        for (int v = 0; v < n_; ++v) {
+            bfs_row(g, v, matrix_.data() + static_cast<std::size_t>(v) * n, frontier.data());
+        }
+    }
+    dense_ = matrix_.data();
 }
 
 const std::int32_t* distance_provider::lazy_row(int u) const {
@@ -136,7 +119,7 @@ int distance_provider::diameter() const {
     if (cached >= 0) return cached;
     int best = 0;
     if (dense_ != nullptr) {
-        best = matrix_.diameter();
+        for (const std::int32_t d : matrix_) best = std::max(best, static_cast<int>(d));
     } else {
         // One BFS per source with O(V) scratch: exact, never stores a
         // row. Must match the dense diameter bit-for-bit — the routers'

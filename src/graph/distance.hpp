@@ -1,9 +1,10 @@
 // All-pairs shortest-path distances on unweighted graphs.
 //
 // Every heuristic router scores SWAP candidates by coupling-graph
-// distance. Small devices share one dense matrix computed up front;
-// thousand-qubit synthetic devices go through the lazy provider below,
-// which materializes only the BFS rows a route actually touches.
+// distance. Small devices get one dense matrix computed up front;
+// thousand-qubit synthetic devices get lazy rows, materializing only the
+// BFS rows a route actually touches. One type, distance_provider, serves
+// both.
 #pragma once
 
 #include <atomic>
@@ -15,44 +16,6 @@
 #include "graph/graph.hpp"
 
 namespace qubikos {
-
-/// Dense APSP matrix computed by one BFS per vertex into one contiguous
-/// int32 allocation (a row per source, written in place — no per-vertex
-/// heap traffic). Rows are independent, so above a row-count threshold
-/// the build fans out over thread_pool::shared(); each row is produced
-/// by the same serial BFS either way, so the matrix is bit-identical at
-/// any thread count. Distances of disconnected pairs are reported as
-/// unreachable().
-class distance_matrix {
-public:
-    distance_matrix() = default;
-    explicit distance_matrix(const graph& g);
-
-    [[nodiscard]] int operator()(int u, int v) const {
-        return dist_[static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
-                     static_cast<std::size_t>(v)];
-    }
-
-    [[nodiscard]] int at(int u, int v) const;
-    [[nodiscard]] int num_vertices() const { return n_; }
-    [[nodiscard]] static constexpr int unreachable() { return -1; }
-
-    /// Contiguous row-major storage (n*n int32); the vectorized score
-    /// kernel gathers directly from this base pointer.
-    [[nodiscard]] const std::int32_t* data() const { return dist_.data(); }
-
-    /// Row of distances from source u.
-    [[nodiscard]] const std::int32_t* row(int u) const {
-        return dist_.data() + static_cast<std::size_t>(u) * static_cast<std::size_t>(n_);
-    }
-
-    /// Largest finite pairwise distance (0 for the empty graph).
-    [[nodiscard]] int diameter() const;
-
-private:
-    int n_ = 0;
-    std::vector<std::int32_t> dist_;
-};
 
 /// Storage policy for distance_provider. `automatic` picks dense below
 /// lazy_threshold vertices and lazy at or above it; `dense`/`lazy`
@@ -75,23 +38,30 @@ struct distance_options {
         return num_vertices >= lazy_threshold;
     }
 
-    /// Defaults overlaid with QUBIKOS_LAZY_DIST (unrecognized values are
-    /// ignored, keeping the automatic policy).
+    /// Defaults overlaid with QUBIKOS_LAZY_DIST. Unrecognized values —
+    /// including numbers with trailing text, such as "1e3" or "64k" —
+    /// are ignored, keeping the automatic policy.
     [[nodiscard]] static distance_options from_env();
 };
 
-/// Uniform distance oracle over either backend.
+/// Uniform distance oracle over either backend, bound to the coupling
+/// graph it was built from (a copy is kept in both modes, so the graph
+/// and its distances can never disagree).
 ///
-/// Dense mode wraps a distance_matrix. Lazy mode keeps a copy of the
-/// graph and computes per-source BFS rows on first use, caching them in
-/// a mutex-protected slab with lock-free (acquire-load) hits — so a
-/// heavy-hex device scaled to thousands of qubits routes without ever
+/// Dense mode computes the full APSP matrix up front: one BFS per source
+/// into one contiguous int32 slab (a row per source, written in place).
+/// Rows are independent, so above a row-count threshold the build fans
+/// out over thread_pool::shared(); each row is produced by the same
+/// serial BFS either way, so the matrix is bit-identical at any thread
+/// count. Lazy mode computes per-source BFS rows on first use, caching
+/// them in a mutex-protected slab with lock-free (acquire-load) hits — so
+/// a heavy-hex device scaled to thousands of qubits routes without ever
 /// materializing O(V^2), and concurrent trials share the same cache.
 /// Both backends return identical values for every query, including
 /// diameter(); routed output therefore never depends on the backend.
+/// Distances of disconnected pairs are reported as unreachable().
 class distance_provider {
 public:
-    distance_provider() = default;
     explicit distance_provider(const graph& g,
                                distance_options options = distance_options::from_env());
 
@@ -120,9 +90,12 @@ public:
     /// gather-based kernel path requires a dense base.
     [[nodiscard]] const std::int32_t* dense_data() const { return dense_; }
 
+    /// The coupling graph these distances were computed on.
+    [[nodiscard]] const graph& coupling() const { return graph_; }
+
     [[nodiscard]] int num_vertices() const { return n_; }
     [[nodiscard]] bool is_lazy() const { return dense_ == nullptr; }
-    [[nodiscard]] static constexpr int unreachable() { return distance_matrix::unreachable(); }
+    [[nodiscard]] static constexpr int unreachable() { return -1; }
 
     /// BFS rows materialized so far (== num_vertices in dense mode).
     [[nodiscard]] std::size_t rows_built() const;
@@ -138,9 +111,9 @@ private:
     [[nodiscard]] const std::int32_t* lazy_row(int u) const;
 
     int n_ = 0;
-    distance_matrix matrix_;               // dense backend (empty when lazy)
+    graph graph_;
+    std::vector<std::int32_t> matrix_;     // dense backend: n*n row-major (empty when lazy)
     const std::int32_t* dense_ = nullptr;  // matrix_.data() or nullptr
-    graph graph_;                          // lazy backend: owned copy for BFS
 
     // Lazy row cache. rows_ holds one atomic pointer per source; a row
     // is published with a release store after its slab vector is fully

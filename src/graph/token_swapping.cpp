@@ -11,7 +11,7 @@ namespace {
 
 struct state {
     const graph* g;
-    const distance_matrix* dist;
+    const distance_provider* dist;
     std::vector<int> pos;     // token -> vertex
     std::vector<int> target;  // token -> vertex
     std::vector<int> holder;  // vertex -> token or -1
@@ -73,7 +73,7 @@ std::vector<edge> token_swapping_sequence(const graph& g, const std::vector<int>
     const int n = g.num_vertices();
     state s;
     s.g = &g;
-    const distance_matrix dist(g);
+    const distance_provider dist(g);
     s.dist = &dist;
     s.pos = current;
     s.target = target;
@@ -86,7 +86,7 @@ std::vector<edge> token_swapping_sequence(const graph& g, const std::vector<int>
             throw std::invalid_argument("token_swapping: current placement not injective");
         }
         s.holder[static_cast<std::size_t>(current[t])] = static_cast<int>(t);
-        if (dist(current[t], target[t]) == distance_matrix::unreachable()) {
+        if (dist(current[t], target[t]) == distance_provider::unreachable()) {
             throw std::invalid_argument("token_swapping: target unreachable");
         }
     }

@@ -56,10 +56,22 @@ struct trace_ring {
     }
 };
 
+std::uint64_t now_ns() {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
 /// Global trace state; leaked for the same destruction-order reason as
 /// the counter registry (pool workers retire rings from thread-local
 /// destructors).
 struct trace_state {
+    /// Origin of every event's "ts". Taken when the state is created,
+    /// which a span's trace_enabled() check forces before the span reads
+    /// its start time, so no event starts before it (an origin taken
+    /// later would wrap start_ns - t0 around to ~1.8e16 us).
+    const std::uint64_t t0_ns = now_ns();
     std::mutex mu;
     bool configured_from_env = false;
     std::string path;
@@ -73,21 +85,6 @@ struct trace_state {
 trace_state& state() {
     static trace_state* s = new trace_state();
     return *s;
-}
-
-std::uint64_t process_t0_ns() {
-    static const std::uint64_t t0 = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    return t0;
-}
-
-std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
 }
 
 /// Reads QUBIKOS_TRACE once, the first time anything touches the trace
@@ -145,7 +142,7 @@ void write_events(const std::string& path, std::vector<trace_event> events,
     if (!out) {
         return;  // tracing is best-effort; never fail the workload
     }
-    const std::uint64_t t0 = process_t0_ns();
+    const std::uint64_t t0 = state().t0_ns;
     out << "[";
     char buf[128];
     bool first = true;

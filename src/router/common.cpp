@@ -133,8 +133,9 @@ void emission_buffer::reset() {
 
 // --- greedy placement -------------------------------------------------------
 
-mapping greedy_placement(const circuit& logical, const graph& coupling,
-                         const distance_provider& dist, std::size_t gate_window) {
+mapping greedy_placement(const circuit& logical, const distance_provider& dist,
+                         std::size_t gate_window) {
+    const graph& coupling = dist.coupling();
     const int num_program = logical.num_qubits();
     const int num_physical = coupling.num_vertices();
     if (num_program > num_physical) {
@@ -190,8 +191,9 @@ mapping greedy_placement(const circuit& logical, const graph& coupling,
 
 // --- force_route -------------------------------------------------------------
 
-void force_route(int node, const gate_dag& dag, const graph& coupling,
-                 const distance_provider& dist, mapping& current, emission_buffer& out) {
+void force_route(int node, const gate_dag& dag, const distance_provider& dist, mapping& current,
+                 emission_buffer& out) {
+    const graph& coupling = dist.coupling();
     const gate& g = dag.node_gate(node);
     int pa = current.physical(g.q0);
     const int pb = current.physical(g.q1);
@@ -218,8 +220,10 @@ void force_route(int node, const gate_dag& dag, const graph& coupling,
 
 // --- candidate swaps ----------------------------------------------------------
 
-void candidate_swaps(const std::vector<int>& front, const gate_dag& dag, const graph& coupling,
-                     const mapping& current, std::vector<edge>& out) {
+void candidate_swaps(const std::vector<int>& front, const gate_dag& dag,
+                     const distance_provider& dist, const mapping& current,
+                     std::vector<edge>& out) {
+    const graph& coupling = dist.coupling();
     out.clear();
     for (const int node : front) {
         const gate& g = dag.node_gate(node);
@@ -232,13 +236,6 @@ void candidate_swaps(const std::vector<int>& front, const gate_dag& dag, const g
     // exactly, so routing decisions (and tie-breaks) are unchanged.
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-}
-
-std::vector<edge> candidate_swaps(const std::vector<int>& front, const gate_dag& dag,
-                                  const graph& coupling, const mapping& current) {
-    std::vector<edge> out;
-    candidate_swaps(front, dag, coupling, current, out);
-    return out;
 }
 
 }  // namespace qubikos::router

@@ -109,15 +109,14 @@ private:
 /// QMAP-style flows. `gate_window` limits how many leading two-qubit
 /// gates the placement sees (0 = all) — real placement passes only look
 /// at a prefix of the circuit.
-[[nodiscard]] mapping greedy_placement(const circuit& logical, const graph& coupling,
-                                       const distance_provider& dist,
+[[nodiscard]] mapping greedy_placement(const circuit& logical, const distance_provider& dist,
                                        std::size_t gate_window = 0);
 
 /// Progress fallback: swaps one endpoint of `node`'s gate along a
 /// shortest path until the gate is executable, emitting the swaps.
 /// Guarantees any single gate becomes executable in <= diameter swaps.
-void force_route(int node, const gate_dag& dag, const graph& coupling,
-                 const distance_provider& dist, mapping& current, emission_buffer& out);
+void force_route(int node, const gate_dag& dag, const distance_provider& dist, mapping& current,
+                 emission_buffer& out);
 
 /// Candidate swaps for a front layer: all coupling edges incident to the
 /// physical location of any front-gate operand (normalized, deduplicated,
@@ -125,12 +124,8 @@ void force_route(int node, const gate_dag& dag, const graph& coupling,
 /// reused buffer — the routers call this once per emitted swap, so the
 /// buffer's capacity persists across the whole routing loop instead of a
 /// std::set allocating per node per decision point.
-void candidate_swaps(const std::vector<int>& front, const gate_dag& dag, const graph& coupling,
-                     const mapping& current, std::vector<edge>& out);
-
-/// Convenience overload returning a fresh vector (same order).
-[[nodiscard]] std::vector<edge> candidate_swaps(const std::vector<int>& front,
-                                                const gate_dag& dag, const graph& coupling,
-                                                const mapping& current);
+void candidate_swaps(const std::vector<int>& front, const gate_dag& dag,
+                     const distance_provider& dist, const mapping& current,
+                     std::vector<edge>& out);
 
 }  // namespace qubikos::router

@@ -246,14 +246,9 @@ std::vector<int> multilevel_placement(const circuit& logical, const graph& coupl
 
 }  // namespace
 
-routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
+routed_circuit route_mlqls(const circuit& logical, const distance_provider& dist,
                            const mlqls_options& options) {
-    const distance_provider dist(coupling);
-    return route_mlqls(logical, coupling, dist, options);
-}
-
-routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
-                           const distance_provider& dist, const mlqls_options& options) {
+    const graph& coupling = dist.coupling();
     routed_circuit best;
     std::size_t best_swaps = std::numeric_limits<std::size_t>::max();
     const int trials = std::max(1, options.placement_trials);
@@ -271,14 +266,10 @@ routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
         routing.bidirectional = false;
         routing.seed = options.seed + static_cast<std::uint64_t>(trial);
 
-        // The dist-taking entry points keep the four routing passes of a
-        // trial from rebuilding the APSP matrix each.
-        const mapping after_forward =
-            sabre_final_mapping(logical, coupling, dist, initial, routing);
-        initial = sabre_final_mapping(reversed_logical, coupling, dist, after_forward, routing);
+        const mapping after_forward = sabre_final_mapping(logical, dist, initial, routing);
+        initial = sabre_final_mapping(reversed_logical, dist, after_forward, routing);
 
-        routed_circuit candidate =
-            route_sabre_with_initial(logical, coupling, dist, initial, routing);
+        routed_circuit candidate = route_sabre_with_initial(logical, dist, initial, routing);
         if (candidate.swap_count() < best_swaps) {
             best_swaps = candidate.swap_count();
             best = std::move(candidate);

@@ -16,7 +16,7 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/routed.hpp"
-#include "graph/graph.hpp"
+#include "graph/distance.hpp"
 #include "router/sabre.hpp"
 
 namespace qubikos::router {
@@ -34,14 +34,8 @@ struct mlqls_options {
     std::uint64_t seed = 1;
 };
 
-[[nodiscard]] routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
-                                         const mlqls_options& options = {});
-
-/// Precomputed-distance variant: `dist` must be the APSP matrix of
-/// `coupling` (shared per-device routing contexts amortize it across
-/// calls); results are bit-identical to the owning overload.
-[[nodiscard]] routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
-                                         const distance_provider& dist,
+/// Routes on `dist.coupling()` (multilevel placement, then SABRE).
+[[nodiscard]] routed_circuit route_mlqls(const circuit& logical, const distance_provider& dist,
                                          const mlqls_options& options = {});
 
 }  // namespace qubikos::router

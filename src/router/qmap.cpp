@@ -232,30 +232,17 @@ std::vector<edge> greedy_layer(const std::vector<std::pair<int, int>>& layer_pai
 
 }  // namespace
 
-routed_circuit route_qmap(const circuit& logical, const graph& coupling,
+routed_circuit route_qmap(const circuit& logical, const distance_provider& dist,
                           const qmap_options& options, qmap_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_qmap(logical, coupling, dist, options, stats);
+    return route_qmap_with_initial(logical, dist,
+                                   greedy_placement(logical, dist, options.placement_window),
+                                   options, stats);
 }
 
-routed_circuit route_qmap(const circuit& logical, const graph& coupling,
-                          const distance_provider& dist, const qmap_options& options,
-                          qmap_stats* stats) {
-    return route_qmap_with_initial(
-        logical, coupling, dist,
-        greedy_placement(logical, coupling, dist, options.placement_window), options, stats);
-}
-
-routed_circuit route_qmap_with_initial(const circuit& logical, const graph& coupling,
+routed_circuit route_qmap_with_initial(const circuit& logical, const distance_provider& dist,
                                        const mapping& initial, const qmap_options& options,
                                        qmap_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_qmap_with_initial(logical, coupling, dist, initial, options, stats);
-}
-
-routed_circuit route_qmap_with_initial(const circuit& logical, const graph& coupling,
-                                       const distance_provider& dist, const mapping& initial,
-                                       const qmap_options& options, qmap_stats* stats) {
+    const graph& coupling = dist.coupling();
     const gate_dag dag(logical);
 
     // Dependency layers (ASAP levels).
@@ -330,7 +317,7 @@ routed_circuit route_qmap_with_initial(const circuit& logical, const graph& coup
             execute_adjacent();
         }
         while (!pending.empty()) {
-            force_route(pending.front(), dag, coupling, dist, current, emit);
+            force_route(pending.front(), dag, dist, current, emit);
             execute_adjacent();
         }
     }

@@ -16,7 +16,6 @@
 #include "circuit/circuit.hpp"
 #include "circuit/routed.hpp"
 #include "graph/distance.hpp"
-#include "graph/graph.hpp"
 
 namespace qubikos::router {
 
@@ -38,29 +37,14 @@ struct qmap_stats {
     std::size_t expanded_nodes = 0;
 };
 
-[[nodiscard]] routed_circuit route_qmap(const circuit& logical, const graph& coupling,
-                                        const qmap_options& options = {},
-                                        qmap_stats* stats = nullptr);
-
-/// Precomputed-distance variant: `dist` must be the APSP matrix of
-/// `coupling` (shared per-device routing contexts amortize it across
-/// calls); results are bit-identical to the owning overload.
-[[nodiscard]] routed_circuit route_qmap(const circuit& logical, const graph& coupling,
-                                        const distance_provider& dist,
+/// Routes on `dist.coupling()` from a windowed greedy placement.
+[[nodiscard]] routed_circuit route_qmap(const circuit& logical, const distance_provider& dist,
                                         const qmap_options& options = {},
                                         qmap_stats* stats = nullptr);
 
 /// Routing-only entry point with a caller-fixed initial mapping —
 /// the standalone-router evaluation mode of Sec. IV-C.
 [[nodiscard]] routed_circuit route_qmap_with_initial(const circuit& logical,
-                                                     const graph& coupling,
-                                                     const mapping& initial,
-                                                     const qmap_options& options = {},
-                                                     qmap_stats* stats = nullptr);
-
-/// Precomputed-distance variant (see route_qmap above).
-[[nodiscard]] routed_circuit route_qmap_with_initial(const circuit& logical,
-                                                     const graph& coupling,
                                                      const distance_provider& dist,
                                                      const mapping& initial,
                                                      const qmap_options& options = {},

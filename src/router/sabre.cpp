@@ -95,11 +95,11 @@ struct pass_limits {
 /// decision point (not once per candidate x gate) into flat int32
 /// buffers, and the score / tie-break vectors keep their capacity across
 /// iterations.
-bool route_pass(const gate_dag& dag, const graph& coupling, const distance_provider& dist,
-                mapping& current, const sabre_options& options, rng& random,
-                emission_buffer* emit, const sabre_observer& observer,
-                std::size_t* force_route_count, pass_scratch& scratch,
-                const pass_limits& limits, std::size_t& decisions) {
+bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& current,
+                const sabre_options& options, rng& random, emission_buffer* emit,
+                const sabre_observer& observer, std::size_t* force_route_count,
+                pass_scratch& scratch, const pass_limits& limits, std::size_t& decisions) {
+    const graph& coupling = dist.coupling();
     dag_frontier& frontier = scratch.frontier;
     frontier.reset(dag);
     scratch.decay.assign(static_cast<std::size_t>(coupling.num_vertices()), 1.0);
@@ -172,7 +172,7 @@ bool route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
             }
             if (emit != nullptr) {
                 const std::size_t before = emit->swaps_emitted();
-                force_route(best_node, dag, coupling, dist, current, *emit);
+                force_route(best_node, dag, dist, current, *emit);
                 decisions += emit->swaps_emitted() - before;
                 if (over_incumbent()) return false;
             } else {
@@ -197,7 +197,7 @@ bool route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
         }
 
         // Score candidate swaps.
-        candidate_swaps(frontier.front(), dag, coupling, current, candidates);
+        candidate_swaps(frontier.front(), dag, dist, current, candidates);
         frontier.lookahead_set(options.extended_set_size, scratch.extended,
                                scratch.lookahead_seen, scratch.lookahead_queue);
         const std::vector<int>& extended = scratch.extended;
@@ -339,7 +339,6 @@ struct trial_arena {
 /// Shared fixtures of one route_sabre call.
 struct trial_context {
     const circuit& logical;
-    const graph& coupling;
     const distance_provider& dist;
     const gate_dag& dag;
     const gate_dag& reverse_dag;
@@ -355,7 +354,7 @@ bool run_trial(const trial_context& ctx, trial_arena& arena, std::size_t trial,
     rng random((ctx.options.seed ^ 0x5ab3e7a1c2d9f04bULL) +
                static_cast<std::uint64_t>(trial) * 0x9e3779b97f4a7c15ULL);
     mapping::random_into(arena.initial, ctx.logical.num_qubits(),
-                         ctx.coupling.num_vertices(), random, arena.perm);
+                         ctx.dist.num_vertices(), random, arena.perm);
 
     std::size_t trial_map_pass = 0;
     if (ctx.options.bidirectional) {
@@ -366,16 +365,15 @@ bool run_trial(const trial_context& ctx, trial_arena& arena, std::size_t trial,
         arena.current = arena.initial;
         std::size_t before = arena.decisions;
         pass_limits budget{map_budget == kNoLimit ? kNoLimit : before + map_budget, nullptr};
-        if (!route_pass(ctx.dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random,
-                        nullptr, {}, nullptr, arena.scratch, budget, arena.decisions)) {
+        if (!route_pass(ctx.dag, ctx.dist, arena.current, ctx.options, random, nullptr, {},
+                        nullptr, arena.scratch, budget, arena.decisions)) {
             return false;
         }
         trial_map_pass = arena.decisions - before;
         before = arena.decisions;
         budget.max_decisions = map_budget == kNoLimit ? kNoLimit : before + map_budget;
-        if (!route_pass(ctx.reverse_dag, ctx.coupling, ctx.dist, arena.current, ctx.options,
-                        random, nullptr, {}, nullptr, arena.scratch, budget,
-                        arena.decisions)) {
+        if (!route_pass(ctx.reverse_dag, ctx.dist, arena.current, ctx.options, random,
+                        nullptr, {}, nullptr, arena.scratch, budget, arena.decisions)) {
             return false;
         }
         trial_map_pass = std::max(trial_map_pass, arena.decisions - before);
@@ -386,9 +384,9 @@ bool run_trial(const trial_context& ctx, trial_arena& arena, std::size_t trial,
     std::size_t force_routes = 0;
     arena.current = arena.initial;
     const bool done =
-        route_pass(ctx.dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random,
-                   &arena.emit, {}, &force_routes, arena.scratch,
-                   pass_limits{kNoLimit, incumbent}, arena.decisions);
+        route_pass(ctx.dag, ctx.dist, arena.current, ctx.options, random, &arena.emit, {},
+                   &force_routes, arena.scratch, pass_limits{kNoLimit, incumbent},
+                   arena.decisions);
     arena.force_routes += force_routes;
     if (!done) return false;
     arena.emit.finish(arena.current);
@@ -496,7 +494,7 @@ routed_circuit route_sabre_portfolio(const trial_context& ctx, sabre_stats* stat
     std::vector<trial_arena> arenas;
     arenas.reserve(width);
     for (std::size_t i = 0; i < width; ++i) {
-        arenas.emplace_back(ctx.logical, ctx.dag, ctx.coupling.num_vertices());
+        arenas.emplace_back(ctx.logical, ctx.dag, ctx.dist.num_vertices());
     }
 
     std::atomic<std::size_t> incumbent{kNoLimit};
@@ -575,24 +573,16 @@ routed_circuit route_sabre_portfolio(const trial_context& ctx, sabre_stats* stat
 
 }  // namespace
 
-routed_circuit route_sabre_with_initial(const circuit& logical, const graph& coupling,
+routed_circuit route_sabre_with_initial(const circuit& logical, const distance_provider& dist,
                                         const mapping& initial, const sabre_options& options,
-                                        const sabre_observer& observer, sabre_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_sabre_with_initial(logical, coupling, dist, initial, options, observer, stats);
-}
-
-routed_circuit route_sabre_with_initial(const circuit& logical, const graph& coupling,
-                                        const distance_provider& dist, const mapping& initial,
-                                        const sabre_options& options,
                                         const sabre_observer& observer, sabre_stats* stats) {
     const obs::trace_span span("sabre.route");
     QUBIKOS_CHECK_MSG(initial.num_program() == logical.num_qubits() &&
-                          initial.num_physical() == coupling.num_vertices(),
+                          initial.num_physical() == dist.num_vertices(),
                       "initial mapping is " << initial.num_program() << "->"
                                             << initial.num_physical() << ", circuit/device is "
                                             << logical.num_qubits() << "/"
-                                            << coupling.num_vertices());
+                                            << dist.num_vertices());
     QUBIKOS_DCHECK(initial.is_consistent());
     sabre_stats local_stats;
     if (stats == nullptr && obs::enabled()) stats = &local_stats;
@@ -600,12 +590,12 @@ routed_circuit route_sabre_with_initial(const circuit& logical, const graph& cou
     rng random(options.seed);
 
     pass_scratch scratch(dag);
-    emission_buffer emit(logical, dag, coupling.num_vertices());
+    emission_buffer emit(logical, dag, dist.num_vertices());
     std::size_t force_routes = 0;
     std::size_t decisions = 0;
     mapping final_mapping = initial;
-    route_pass(dag, coupling, dist, final_mapping, options, random, &emit, observer,
-               &force_routes, scratch, {}, decisions);
+    route_pass(dag, dist, final_mapping, options, random, &emit, observer, &force_routes,
+               scratch, {}, decisions);
     emit.finish(final_mapping);
 
     routed_circuit out;
@@ -613,7 +603,7 @@ routed_circuit route_sabre_with_initial(const circuit& logical, const graph& cou
     out.physical = emit.take();
     // Legality before emission to the caller: every two-qubit gate on a
     // coupled pair, and the physical circuit replays the logical traces.
-    QUBIKOS_DCHECK(validate_routed(logical, out, coupling).valid);
+    QUBIKOS_DCHECK(validate_routed(logical, out, dist.coupling()).valid);
     if (stats != nullptr) {
         *stats = {};
         stats->best_swaps = out.swap_count();
@@ -627,37 +617,23 @@ routed_circuit route_sabre_with_initial(const circuit& logical, const graph& cou
     return out;
 }
 
-mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
+mapping sabre_final_mapping(const circuit& logical, const distance_provider& dist,
                             const mapping& initial, const sabre_options& options) {
-    const distance_provider dist(coupling);
-    return sabre_final_mapping(logical, coupling, dist, initial, options);
-}
-
-mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
-                            const distance_provider& dist, const mapping& initial,
-                            const sabre_options& options) {
     const gate_dag dag(logical);
     rng random(options.seed);
     pass_scratch scratch(dag);
     std::size_t decisions = 0;
     mapping current = initial;
-    route_pass(dag, coupling, dist, current, options, random, nullptr, {}, nullptr, scratch,
-               {}, decisions);
+    route_pass(dag, dist, current, options, random, nullptr, {}, nullptr, scratch, {},
+               decisions);
     // A mapping-only pass applies SWAPs in place; the result must still
     // be the same bijection up to permutation.
     QUBIKOS_DCHECK(current.is_consistent());
     return current;
 }
 
-routed_circuit route_sabre(const circuit& logical, const graph& coupling,
+routed_circuit route_sabre(const circuit& logical, const distance_provider& dist,
                            const sabre_options& options, sabre_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_sabre(logical, coupling, dist, options, stats);
-}
-
-routed_circuit route_sabre(const circuit& logical, const graph& coupling,
-                           const distance_provider& dist, const sabre_options& options,
-                           sabre_stats* stats) {
     validate_options(options);
     const obs::trace_span span("sabre.route");
     // Publish stats even when the caller passed none: route into a local
@@ -667,11 +643,11 @@ routed_circuit route_sabre(const circuit& logical, const graph& coupling,
     const gate_dag dag(logical);
     const circuit reversed_logical = reversed(logical);
     const gate_dag reverse_dag(reversed_logical);
-    const trial_context ctx{logical, coupling, dist, dag, reverse_dag, options};
+    const trial_context ctx{logical, dist, dag, reverse_dag, options};
 
     if (options.portfolio) {
         routed_circuit out = route_sabre_portfolio(ctx, stats);
-        QUBIKOS_DCHECK(validate_routed(logical, out, coupling).valid);
+        QUBIKOS_DCHECK(validate_routed(logical, out, dist.coupling()).valid);
         if (stats != nullptr && obs::enabled()) publish_sabre_stats(*stats);
         return out;
     }
@@ -689,7 +665,7 @@ routed_circuit route_sabre(const circuit& logical, const graph& coupling,
     std::vector<trial_arena> arenas;
     arenas.reserve(width);
     for (std::size_t i = 0; i < width; ++i) {
-        arenas.emplace_back(logical, dag, coupling.num_vertices());
+        arenas.emplace_back(logical, dag, dist.num_vertices());
     }
 
     thread_pool::shared().parallel_for_slots(
@@ -702,7 +678,7 @@ routed_circuit route_sabre(const circuit& logical, const graph& coupling,
         /*chunk=*/1);
 
     routed_circuit out = reduce_slots(arenas, stats, trials);
-    QUBIKOS_DCHECK(validate_routed(logical, out, coupling).valid);
+    QUBIKOS_DCHECK(validate_routed(logical, out, dist.coupling()).valid);
     if (stats != nullptr && obs::enabled()) publish_sabre_stats(*stats);
     return out;
 }

@@ -28,7 +28,6 @@
 #include "circuit/mapping.hpp"
 #include "circuit/routed.hpp"
 #include "graph/distance.hpp"
-#include "graph/graph.hpp"
 
 namespace qubikos::router {
 
@@ -149,18 +148,12 @@ struct sabre_stats {
 };
 
 /// Full SABRE flow: per trial, a random initial mapping refined by
-/// bidirectional passes, then routing; best trial wins.
-[[nodiscard]] routed_circuit route_sabre(const circuit& logical, const graph& coupling,
-                                         const sabre_options& options = {},
-                                         sabre_stats* stats = nullptr);
-
-/// Same flow with a caller-provided distance provider for `coupling`
-/// (must match it). Lets a shared per-device routing context amortize
-/// the distance construction across calls instead of rebuilding it per
-/// circuit; results are bit-identical to the owning overload — and to
-/// each other across dense/lazy providers and kernel backends.
-[[nodiscard]] routed_circuit route_sabre(const circuit& logical, const graph& coupling,
-                                         const distance_provider& dist,
+/// bidirectional passes, then routing; best trial wins. Routes on
+/// `dist.coupling()`. A shared per-device routing context passes the
+/// same provider to every call, amortizing the distance construction;
+/// results are bit-identical across dense/lazy providers and kernel
+/// backends.
+[[nodiscard]] routed_circuit route_sabre(const circuit& logical, const distance_provider& dist,
                                          const sabre_options& options = {},
                                          sabre_stats* stats = nullptr);
 
@@ -170,15 +163,6 @@ struct sabre_stats {
 /// mapping and measure pure routing quality. `observer` (optional) sees
 /// every swap decision.
 [[nodiscard]] routed_circuit route_sabre_with_initial(const circuit& logical,
-                                                      const graph& coupling,
-                                                      const mapping& initial,
-                                                      const sabre_options& options = {},
-                                                      const sabre_observer& observer = {},
-                                                      sabre_stats* stats = nullptr);
-
-/// Precomputed-distance variant (see route_sabre above).
-[[nodiscard]] routed_circuit route_sabre_with_initial(const circuit& logical,
-                                                      const graph& coupling,
                                                       const distance_provider& dist,
                                                       const mapping& initial,
                                                       const sabre_options& options = {},
@@ -188,13 +172,8 @@ struct sabre_stats {
 /// Mapping-only pass: routes `logical` from `initial` without emitting a
 /// circuit and returns the final mapping. Building block for
 /// forward/backward initial-mapping refinement in other flows (ML-QLS).
-[[nodiscard]] mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
+[[nodiscard]] mapping sabre_final_mapping(const circuit& logical, const distance_provider& dist,
                                           const mapping& initial,
-                                          const sabre_options& options = {});
-
-/// Precomputed-distance variant (see route_sabre above).
-[[nodiscard]] mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
-                                          const distance_provider& dist, const mapping& initial,
                                           const sabre_options& options = {});
 
 }  // namespace qubikos::router

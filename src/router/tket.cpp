@@ -39,28 +39,16 @@ std::vector<std::vector<int>> upcoming_slices(const gate_dag& dag, const dag_fro
 
 }  // namespace
 
-routed_circuit route_tket(const circuit& logical, const graph& coupling,
+routed_circuit route_tket(const circuit& logical, const distance_provider& dist,
                           const tket_options& options) {
-    const distance_provider dist(coupling);
-    return route_tket(logical, coupling, dist, options);
+    return route_tket_with_initial(logical, dist,
+                                   greedy_placement(logical, dist, options.placement_window),
+                                   options);
 }
 
-routed_circuit route_tket(const circuit& logical, const graph& coupling,
-                          const distance_provider& dist, const tket_options& options) {
-    return route_tket_with_initial(
-        logical, coupling, dist,
-        greedy_placement(logical, coupling, dist, options.placement_window), options);
-}
-
-routed_circuit route_tket_with_initial(const circuit& logical, const graph& coupling,
+routed_circuit route_tket_with_initial(const circuit& logical, const distance_provider& dist,
                                        const mapping& initial, const tket_options& options) {
-    const distance_provider dist(coupling);
-    return route_tket_with_initial(logical, coupling, dist, initial, options);
-}
-
-routed_circuit route_tket_with_initial(const circuit& logical, const graph& coupling,
-                                       const distance_provider& dist, const mapping& initial,
-                                       const tket_options& options) {
+    const graph& coupling = dist.coupling();
     const gate_dag dag(logical);
 
     mapping current = initial;
@@ -109,13 +97,13 @@ routed_circuit route_tket_with_initial(const circuit& logical, const graph& coup
                     best_node = node;
                 }
             }
-            force_route(best_node, dag, coupling, dist, current, emit);
+            force_route(best_node, dag, dist, current, emit);
             swaps_since_progress = 0;
             continue;
         }
 
         const auto slices = upcoming_slices(dag, frontier, options.lookahead_slices);
-        candidate_swaps(frontier.front(), dag, coupling, current, candidates);
+        candidate_swaps(frontier.front(), dag, dist, current, candidates);
 
         double best_cost = std::numeric_limits<double>::infinity();
         edge best;
@@ -139,7 +127,7 @@ routed_circuit route_tket_with_initial(const circuit& logical, const graph& coup
         }
         if (!found) {
             // Every candidate excluded: fall back to forced routing.
-            force_route(frontier.front().front(), dag, coupling, dist, current, emit);
+            force_route(frontier.front().front(), dag, dist, current, emit);
             swaps_since_progress = 0;
             continue;
         }

@@ -14,7 +14,6 @@
 #include "circuit/circuit.hpp"
 #include "circuit/routed.hpp"
 #include "graph/distance.hpp"
-#include "graph/graph.hpp"
 
 namespace qubikos::router {
 
@@ -33,26 +32,13 @@ struct tket_options {
     std::size_t placement_window = 50;
 };
 
-[[nodiscard]] routed_circuit route_tket(const circuit& logical, const graph& coupling,
-                                        const tket_options& options = {});
-
-/// Precomputed-distance variant: `dist` must be a distance provider over
-/// `coupling` (shared per-device routing contexts amortize it across
-/// calls); results are bit-identical to the owning overload.
-[[nodiscard]] routed_circuit route_tket(const circuit& logical, const graph& coupling,
-                                        const distance_provider& dist,
+/// Routes on `dist.coupling()` from a greedy interaction-aware placement.
+[[nodiscard]] routed_circuit route_tket(const circuit& logical, const distance_provider& dist,
                                         const tket_options& options = {});
 
 /// Routing-only entry point with a caller-fixed initial mapping —
 /// the standalone-router evaluation mode of Sec. IV-C.
 [[nodiscard]] routed_circuit route_tket_with_initial(const circuit& logical,
-                                                     const graph& coupling,
-                                                     const mapping& initial,
-                                                     const tket_options& options = {});
-
-/// Precomputed-distance variant (see route_tket above).
-[[nodiscard]] routed_circuit route_tket_with_initial(const circuit& logical,
-                                                     const graph& coupling,
                                                      const distance_provider& dist,
                                                      const mapping& initial,
                                                      const tket_options& options = {});

@@ -3,14 +3,15 @@
 // Owns what outlives a single request: an LRU cache of per-device
 // routing state. Every request names its device; building one costs
 // arch::by_name (graph construction) plus tools::make_routing_context
-// (an all-pairs distance matrix for small devices, a lazy BFS-row
-// provider above the distance_options threshold) — for the devices a
-// daemon typically serves, that dwarfs routing a small circuit. The
+// (all-pairs distances for small devices, lazily built BFS rows above
+// the distance_options threshold) — for the devices a daemon typically
+// serves, that dwarfs routing a small circuit. The
 // engine builds each device once and every subsequent request on it
 // reuses the cached context, which is where bench_serve's cached-vs-cold
-// speedup comes from. Sharing is purely an optimization: registry tools
-// fall back to a local matrix on a context mismatch, so responses are
-// bit-identical with the cache on, off, or thrashing.
+// speedup comes from. Sharing is purely an optimization: tools::make_tool
+// builds a per-call provider whenever the context does not match the
+// graph being routed, so responses are bit-identical with the cache on,
+// off, or thrashing.
 //
 // Thread-safety: route()/certify()/device_for() may be called from any
 // number of threads concurrently (the server dispatches batches onto the

@@ -55,17 +55,11 @@ void register_builtin_mlqls() {
         {"routing_release_valve", option_kind::integer, 0,
          "no-progress bound of the final routing pass (0 = auto)"},
     };
-    register_tool(std::move(info), [](const json::value& options,
-                                      std::shared_ptr<const routing_context> context) {
-        const router::mlqls_options m = mlqls_from(options);
-        return eval::tool{
-            "", [m, context = std::move(context)](const circuit& c, const graph& g) {
-                if (context != nullptr && context->matches(g)) {
-                    return router::route_mlqls(c, g, context->distances(), m);
-                }
-                return router::route_mlqls(c, g, m);
-            },
-            /*run_stats=*/{}};
+    register_tool(std::move(info), [](const json::value& options) -> tool_router {
+        return [m = mlqls_from(options)](const circuit& c, const distance_provider& dist,
+                                         eval::tool_run_stats*) {
+            return router::route_mlqls(c, dist, m);
+        };
     });
 }
 

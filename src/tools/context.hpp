@@ -4,13 +4,15 @@
 // each routing call rebuilt them from scratch (O(V*(V+E)) per circuit —
 // measurable against small circuits, pure waste in a (tool x instance)
 // grid that routes hundreds of circuits on one device). A
-// routing_context builds a distance_provider once per device; every
-// registry-made tool bound to the context reuses it, and falls back to a
-// local computation when handed a different graph, so sharing is purely
-// an optimization — results are bit-identical either way. Small devices
-// get the dense matrix; above the distance_options threshold (or under
-// QUBIKOS_LAZY_DIST) the provider serves lazily cached BFS rows, so a
-// thousand-qubit synthetic device never materializes O(V^2).
+// routing_context builds a distance_provider once per device and every
+// registry-made tool bound to the context reuses it. tools::make_tool is
+// the one place that checks the context matches() the graph a tool is
+// handed; on a mismatch the tool builds its own provider for that call,
+// so sharing is purely an optimization — results are bit-identical
+// either way. Small devices get the dense matrix; above the
+// distance_options threshold (or under QUBIKOS_LAZY_DIST) the provider
+// serves lazily cached BFS rows, so a thousand-qubit synthetic device
+// never materializes O(V^2).
 #pragma once
 
 #include <memory>
@@ -20,14 +22,15 @@
 
 namespace qubikos::tools {
 
-/// Immutable per-device precomputations shared by registry tools. Owns a
-/// copy of the coupling graph so the context never dangles.
+/// Immutable per-device precomputations shared by registry tools. The
+/// provider owns a copy of the coupling graph, so the context never
+/// dangles.
 class routing_context {
 public:
     explicit routing_context(const graph& coupling,
                              distance_options options = distance_options::from_env());
 
-    [[nodiscard]] const graph& coupling() const { return coupling_; }
+    [[nodiscard]] const graph& coupling() const { return dist_.coupling(); }
     [[nodiscard]] const distance_provider& distances() const { return dist_; }
 
     /// True when the provider serves lazily cached BFS rows instead of a
@@ -42,7 +45,6 @@ public:
     [[nodiscard]] bool matches(const graph& g) const;
 
 private:
-    graph coupling_;
     distance_provider dist_;
 };
 

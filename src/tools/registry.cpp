@@ -239,6 +239,15 @@ json::value resolve_options(const tool_info& info, const json::value& overrides)
     return json::value(std::move(resolved));
 }
 
+json::value lineup_overrides(const std::string& name, int sabre_trials, std::uint64_t seed) {
+    json::object o;
+    if (name == "lightsabre") o["trials"] = sabre_trials;
+    if (tool_registry_info(name).find_option("seed") != nullptr) {
+        o["seed"] = static_cast<std::int64_t>(seed);
+    }
+    return json::value(std::move(o));
+}
+
 eval::tool make_tool(const std::string& name, const json::value& overrides,
                      std::shared_ptr<const routing_context> context) {
     tool_factory factory;
@@ -254,8 +263,22 @@ eval::tool make_tool(const std::string& name, const json::value& overrides,
         factory = entry->factory;
         resolved = resolve_options(entry->info, overrides);
     }
-    eval::tool tool = factory(resolved, std::move(context));
+    // The one place a tool's distances are chosen: the context's shared
+    // provider when it was built for the graph being routed, otherwise
+    // one built for this call (same values, so the same output).
+    auto run = [route = factory(resolved), context = std::move(context)](
+                   const circuit& c, const graph& g, eval::tool_run_stats* stats) {
+        if (context != nullptr && context->matches(g)) {
+            return route(c, context->distances(), stats);
+        }
+        return route(c, distance_provider(g), stats);
+    };
+    eval::tool tool;
     tool.name = name;
+    tool.run = [run](const circuit& c, const graph& g) { return run(c, g, nullptr); };
+    tool.run_stats = [run](const circuit& c, const graph& g, eval::tool_run_stats& stats) {
+        return run(c, g, &stats);
+    };
     return tool;
 }
 

@@ -23,11 +23,14 @@
 // can be registered at runtime with register_tool().
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "eval/harness.hpp"
+#include "graph/distance.hpp"
 #include "tools/context.hpp"
 #include "util/json.hpp"
 
@@ -66,12 +69,15 @@ struct tool_info {
     [[nodiscard]] const option_spec* find_option(const std::string& key) const;
 };
 
-/// Builds an eval::tool from a fully-resolved option object (every schema
-/// key present, validated) and an optional shared routing context
-/// (nullptr = the tool computes per-call distance matrices, the
-/// pre-registry behavior).
-using tool_factory = std::function<eval::tool(
-    const json::value& options, std::shared_ptr<const routing_context> context)>;
+/// One configured router: routes a circuit on the provider's coupling
+/// graph and, when `stats` is non-null and the router has statistics to
+/// report, fills it (leaving `present` false otherwise).
+using tool_router = std::function<routed_circuit(const circuit&, const distance_provider&,
+                                                 eval::tool_run_stats* stats)>;
+
+/// Builds a tool's router from a fully-resolved option object (every
+/// schema key present, validated). make_tool binds it to distances.
+using tool_factory = std::function<tool_router(const json::value& options)>;
 
 /// Registers a tool; throws std::invalid_argument on a duplicate name or
 /// a schema whose defaults don't match their declared kinds.
@@ -90,6 +96,13 @@ void register_tool(tool_info info, tool_factory factory);
 /// order — the default tool axis of specs, reports and benches.
 [[nodiscard]] const std::vector<std::string>& paper_tool_names();
 
+/// The lineup-level knobs as registry overrides for tool `name`:
+/// `sabre_trials` sets lightsabre's trial count and `seed` every tool
+/// with a seed option. eval::paper_toolbox and campaign specs both map
+/// their settings through this one function.
+[[nodiscard]] json::value lineup_overrides(const std::string& name, int sabre_trials,
+                                           std::uint64_t seed);
+
 /// Validates `overrides` (an object, or null for none) against the schema
 /// and folds it over the defaults into a complete option object. Unknown
 /// keys and ill-typed values throw std::invalid_argument.
@@ -97,7 +110,10 @@ void register_tool(tool_info info, tool_factory factory);
 
 /// Looks a tool up, resolves its options and builds it. The returned
 /// tool's name is the registry name; callers running several variants of
-/// one tool relabel it (eval::tool::name is plain data).
+/// one tool relabel it (eval::tool::name is plain data). Each call routes
+/// on the `context`'s shared distances when the context matches() the
+/// graph it is handed, and on a provider built for that call otherwise
+/// (including when `context` is null) — the output is the same.
 [[nodiscard]] eval::tool make_tool(const std::string& name, const json::value& overrides = {},
                                    std::shared_ptr<const routing_context> context = nullptr);
 

@@ -71,9 +71,7 @@ TEST(harness, evaluates_suite_end_to_end) {
     const auto s = core::generate_suite(device, spec);
     ASSERT_EQ(s.instances.size(), 4u);
 
-    eval::toolbox_options toolbox;
-    toolbox.sabre.trials = 4;
-    const auto tools = eval::paper_toolbox(toolbox);
+    const auto tools = eval::paper_toolbox(/*sabre_trials=*/4);
     ASSERT_EQ(tools.size(), 4u);
 
     const auto result = eval::evaluate_suite(s, device, tools);

@@ -8,6 +8,7 @@
 #include "exact/brute.hpp"
 #include "exact/olsq.hpp"
 #include "graph/gen.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace qubikos {
@@ -74,6 +75,35 @@ TEST(olsq, conflict_limit_aborts) {
     options.conflict_limit = 1;
     const auto result = exact::solve_optimal(c, arch::grid(3, 3).coupling, options);
     EXPECT_TRUE(result.aborted || result.solved);
+}
+
+TEST(olsq, conflicts_per_k_records_each_attempt) {
+    // One entry per attempted k, and together they account for every
+    // conflict the solver reported to telemetry over the call.
+    rng random(11);
+    circuit c(6);
+    for (int i = 0; i < 16; ++i) {
+        const int a = random.range(0, 5);
+        const int b = random.range(0, 5);
+        if (a != b) c.append(gate::cx(a, b));
+    }
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    exact::olsq_options options;
+    options.max_swaps = 6;
+    const std::uint64_t before = obs::collect().value("sat.conflicts");
+    const auto result = exact::solve_optimal(c, arch::grid(2, 3).coupling, options);
+    const std::uint64_t after = obs::collect().value("sat.conflicts");
+    obs::set_enabled(was_enabled);
+
+    const int last_k = result.solved ? result.optimal_swaps : options.max_swaps;
+    EXPECT_FALSE(result.aborted);
+    ASSERT_EQ(result.conflicts_per_k.size(),
+              static_cast<std::size_t>(last_k - options.min_swaps + 1));
+    std::uint64_t sum = 0;
+    for (const std::uint64_t conflicts : result.conflicts_per_k) sum += conflicts;
+    EXPECT_EQ(sum, after - before);
+    EXPECT_GT(sum, 0u);
 }
 
 TEST(olsq, argument_validation) {

@@ -118,11 +118,18 @@ TEST(bfs, shortest_path_endpoints) {
     EXPECT_TRUE(shortest_path(disconnected, 0, 3).empty());
 }
 
-TEST(distance_matrix, matches_bfs) {
+/// Forces the dense backend regardless of QUBIKOS_LAZY_DIST.
+distance_options dense_only() {
+    distance_options options;
+    options.mode = distance_options::storage_mode::dense;
+    return options;
+}
+
+TEST(distance_provider, dense_matches_bfs) {
     rng random(17);
     for (int trial = 0; trial < 10; ++trial) {
         const graph g = random_connected_graph(random.range(2, 15), random.range(0, 10), random);
-        const distance_matrix dist(g);
+        const distance_provider dist(g, dense_only());
         for (int v = 0; v < g.num_vertices(); ++v) {
             const auto row = bfs_distances(g, {v});
             for (int u = 0; u < g.num_vertices(); ++u) {
@@ -132,11 +139,11 @@ TEST(distance_matrix, matches_bfs) {
     }
 }
 
-TEST(distance_matrix, diameter_of_known_graphs) {
-    EXPECT_EQ(distance_matrix(path_graph(6)).diameter(), 5);
-    EXPECT_EQ(distance_matrix(cycle_graph(6)).diameter(), 3);
-    EXPECT_EQ(distance_matrix(grid_graph(3, 4)).diameter(), 5);
-    EXPECT_EQ(distance_matrix(complete_graph(5)).diameter(), 1);
+TEST(distance_provider, dense_diameter_of_known_graphs) {
+    EXPECT_EQ(distance_provider(path_graph(6), dense_only()).diameter(), 5);
+    EXPECT_EQ(distance_provider(cycle_graph(6), dense_only()).diameter(), 3);
+    EXPECT_EQ(distance_provider(grid_graph(3, 4), dense_only()).diameter(), 5);
+    EXPECT_EQ(distance_provider(complete_graph(5), dense_only()).diameter(), 1);
 }
 
 TEST(distance_provider, lazy_matches_dense_values_and_diameter) {
@@ -145,8 +152,9 @@ TEST(distance_provider, lazy_matches_dense_values_and_diameter) {
     lazy_opts.mode = distance_options::storage_mode::lazy;
     for (int trial = 0; trial < 10; ++trial) {
         const graph g = random_connected_graph(random.range(2, 20), random.range(0, 12), random);
-        const distance_matrix dense(g);
+        const distance_provider dense(g, dense_only());
         const distance_provider lazy(g, lazy_opts);
+        ASSERT_FALSE(dense.is_lazy());
         ASSERT_TRUE(lazy.is_lazy());
         for (int v = 0; v < g.num_vertices(); ++v) {
             for (int u = 0; u < g.num_vertices(); ++u) {
@@ -191,8 +199,9 @@ TEST(distance_provider, lazy_builds_rows_on_demand_only) {
     EXPECT_EQ(dist.rows_built(), 1u);
     (void)dist.row(9);
     EXPECT_EQ(dist.rows_built(), 2u);
-    // Dense providers never report lazy rows and expose the flat matrix.
-    const distance_provider dense(g);
+    // Dense providers never report lazy rows and expose the flat matrix
+    // (forced dense, so QUBIKOS_LAZY_DIST cannot flip the mode).
+    const distance_provider dense(g, dense_only());
     EXPECT_FALSE(dense.is_lazy());
     EXPECT_NE(dense.dense_data(), nullptr);
     EXPECT_EQ(dist.dense_data(), nullptr);
@@ -220,12 +229,19 @@ TEST(distance_provider, from_env_parses_modes_and_thresholds) {
     // an env typo must not take down a routing service.
     EXPECT_EQ(with_env("bogus").mode, distance_options::storage_mode::automatic);
     EXPECT_EQ(with_env("bogus").lazy_threshold, 512);
+    // A number with trailing text is unparsable too, not a prefix parse:
+    // "1e3" must not become threshold 1 (every device lazy), nor "64k"
+    // threshold 64 (eagle127 lazy).
+    for (const char* partial : {"1e3", "64k"}) {
+        EXPECT_EQ(with_env(partial).mode, distance_options::storage_mode::automatic) << partial;
+        EXPECT_EQ(with_env(partial).lazy_threshold, 512) << partial;
+    }
 }
 
 TEST(distance_provider, concurrent_lazy_queries_are_consistent) {
     rng random(53);
     const graph g = random_connected_graph(60, 40, random);
-    const distance_matrix dense(g);
+    const distance_provider dense(g, dense_only());
     distance_options opts;
     opts.mode = distance_options::storage_mode::lazy;
     const distance_provider lazy(g, opts);

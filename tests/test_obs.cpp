@@ -186,6 +186,7 @@ TEST(obs_trace, file_is_json_array_with_properly_nested_spans) {
 
 TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 6;
     gen.total_two_qubit_gates = 120;
@@ -205,9 +206,8 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
     router::sabre_stats reference_stats;
     {
         const scoped_obs off(false);
-        reference = router::route_sabre(instance.logical, device.coupling, options,
-                                        &reference_stats);
-        portfolio_reference = router::route_sabre(instance.logical, device.coupling, portfolio);
+        reference = router::route_sabre(instance.logical, dist, options, &reference_stats);
+        portfolio_reference = router::route_sabre(instance.logical, dist, portfolio);
     }
 
     const std::string trace = scratch_dir("routing_trace") + "/trace.json";
@@ -218,8 +218,7 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
             router::sabre_options plain = options;
             plain.threads = threads;
             router::sabre_stats stats;
-            const auto routed =
-                router::route_sabre(instance.logical, device.coupling, plain, &stats);
+            const auto routed = router::route_sabre(instance.logical, dist, plain, &stats);
             EXPECT_EQ(routed.initial, reference.initial) << enabled << " " << threads;
             EXPECT_EQ(routed.physical.gates(), reference.physical.gates())
                 << enabled << " " << threads;
@@ -228,7 +227,7 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
 
             router::sabre_options pf = portfolio;
             pf.threads = threads;
-            const auto pf_routed = router::route_sabre(instance.logical, device.coupling, pf);
+            const auto pf_routed = router::route_sabre(instance.logical, dist, pf);
             EXPECT_EQ(pf_routed.initial, portfolio_reference.initial)
                 << enabled << " " << threads;
             EXPECT_EQ(pf_routed.physical.gates(), portfolio_reference.physical.gates())
@@ -243,6 +242,7 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
 
 TEST(obs_routing, qmap_stats_written_through_sink) {
     const auto device = arch::grid(3, 3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 3;
     gen.total_two_qubit_gates = 40;
@@ -250,7 +250,7 @@ TEST(obs_routing, qmap_stats_written_through_sink) {
     const auto instance = core::generate(device, gen);
 
     router::qmap_stats stats;
-    const auto routed = router::route_qmap(instance.logical, device.coupling, {}, &stats);
+    const auto routed = router::route_qmap(instance.logical, dist, {}, &stats);
     EXPECT_TRUE(validate_routed(instance.logical, routed, device.coupling).valid);
     EXPECT_GT(stats.layers, 0u);
     EXPECT_EQ(stats.astar_solved_layers + stats.fallback_layers, stats.layers);
@@ -267,9 +267,7 @@ TEST(obs_harness, lightsabre_reports_router_stats_in_records) {
     auto instance = core::generate(device, gen);
     instance.optimal_swaps = gen.num_swaps;
 
-    eval::toolbox_options options;
-    options.sabre.trials = 4;
-    const auto tools = eval::paper_toolbox(options);
+    const auto tools = eval::paper_toolbox(/*sabre_trials=*/4);
     for (const auto& t : tools) {
         const auto record = eval::run_tool_record(t, instance, device);
         EXPECT_TRUE(record.valid) << t.name;

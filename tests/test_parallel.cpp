@@ -145,6 +145,7 @@ TEST(thread_pool, env_override_resolves_auto_size) {
 
 TEST(parallel_sabre, identical_output_for_any_thread_count) {
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 6;
     gen.total_two_qubit_gates = 120;
@@ -158,14 +159,13 @@ TEST(parallel_sabre, identical_output_for_any_thread_count) {
     serial.seed = 5;
     serial.threads = 1;
     router::sabre_stats serial_stats;
-    const auto serial_routed =
-        router::route_sabre(instance.logical, device.coupling, serial, &serial_stats);
+    const auto serial_routed = router::route_sabre(instance.logical, dist, serial, &serial_stats);
 
     for (const int threads : {2, 4}) {
         router::sabre_options parallel = serial;
         parallel.threads = threads;
         router::sabre_stats parallel_stats;
-        const auto parallel_routed = router::route_sabre(instance.logical, device.coupling,
+        const auto parallel_routed = router::route_sabre(instance.logical, dist,
                                                          parallel, &parallel_stats);
         EXPECT_EQ(parallel_stats.best_trial, serial_stats.best_trial) << threads;
         EXPECT_EQ(parallel_stats.best_swaps, serial_stats.best_swaps) << threads;
@@ -178,6 +178,7 @@ TEST(parallel_sabre, identical_output_for_any_thread_count) {
 
 TEST(parallel_sabre, more_threads_than_trials) {
     const auto device = arch::grid(2, 3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 2;
     gen.seed = 4;
@@ -188,8 +189,8 @@ TEST(parallel_sabre, more_threads_than_trials) {
     one_trial.threads = 8;
     router::sabre_options serial = one_trial;
     serial.threads = 1;
-    const auto a = router::route_sabre(instance.logical, device.coupling, one_trial);
-    const auto b = router::route_sabre(instance.logical, device.coupling, serial);
+    const auto a = router::route_sabre(instance.logical, dist, one_trial);
+    const auto b = router::route_sabre(instance.logical, dist, serial);
     EXPECT_EQ(a.initial, b.initial);
     EXPECT_EQ(a.physical.gates(), b.physical.gates());
 }
@@ -198,6 +199,7 @@ TEST(parallel_sabre, stats_report_live_arena_slots) {
     // Peak trial-result memory is O(min(threads, trials)): the engine
     // sizes its arenas to the live slots, not the trial count.
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 3;
     gen.total_two_qubit_gates = 60;
@@ -208,7 +210,7 @@ TEST(parallel_sabre, stats_report_live_arena_slots) {
     options.trials = 3;
     options.threads = 8;  // more threads than trials: slots clamp to trials
     router::sabre_stats stats;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, dist, options, &stats);
     EXPECT_EQ(stats.arena_slots, 3u);
     EXPECT_EQ(stats.trials_run, 3u);
     EXPECT_EQ(stats.trials_pruned, 0u);
@@ -217,7 +219,7 @@ TEST(parallel_sabre, stats_report_live_arena_slots) {
 
     options.trials = 20;
     options.threads = 2;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, dist, options, &stats);
     EXPECT_EQ(stats.arena_slots, 2u);
     EXPECT_EQ(stats.trials_run, 20u);
 }
@@ -235,6 +237,7 @@ core::benchmark_instance portfolio_instance() {
 
 TEST(portfolio_sabre, deterministic_for_fixed_config_across_thread_counts) {
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options options;
@@ -244,14 +247,12 @@ TEST(portfolio_sabre, deterministic_for_fixed_config_across_thread_counts) {
     options.portfolio_wave = 6;
     options.threads = 1;
     router::sabre_stats reference_stats;
-    const auto reference =
-        router::route_sabre(instance.logical, device.coupling, options, &reference_stats);
+    const auto reference = router::route_sabre(instance.logical, dist, options, &reference_stats);
 
     for (const int threads : {2, 4}) {
         options.threads = threads;
         router::sabre_stats stats;
-        const auto routed =
-            router::route_sabre(instance.logical, device.coupling, options, &stats);
+        const auto routed = router::route_sabre(instance.logical, dist, options, &stats);
         EXPECT_EQ(stats.best_swaps, reference_stats.best_swaps) << threads;
         EXPECT_EQ(stats.best_trial, reference_stats.best_trial) << threads;
         EXPECT_EQ(stats.waves, reference_stats.waves) << threads;
@@ -266,6 +267,7 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
     // portfolio must reproduce the plain run's winner exactly (same
     // seeds, same trial count).
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options plain;
@@ -273,8 +275,7 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
     plain.seed = 3;
     plain.threads = 1;
     router::sabre_stats plain_stats;
-    const auto plain_routed =
-        router::route_sabre(instance.logical, device.coupling, plain, &plain_stats);
+    const auto plain_routed = router::route_sabre(instance.logical, dist, plain, &plain_stats);
 
     router::sabre_options portfolio = plain;
     portfolio.portfolio = true;
@@ -283,8 +284,7 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
     for (const int threads : {1, 2}) {
         portfolio.threads = threads;
         router::sabre_stats stats;
-        const auto routed =
-            router::route_sabre(instance.logical, device.coupling, portfolio, &stats);
+        const auto routed = router::route_sabre(instance.logical, dist, portfolio, &stats);
         EXPECT_EQ(stats.best_swaps, plain_stats.best_swaps) << threads;
         EXPECT_EQ(stats.best_trial, plain_stats.best_trial) << threads;
         EXPECT_EQ(stats.trials_skipped, 0u) << threads;
@@ -297,6 +297,7 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
 
 TEST(portfolio_sabre, accounts_for_every_requested_trial) {
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options options;
@@ -307,7 +308,7 @@ TEST(portfolio_sabre, accounts_for_every_requested_trial) {
     options.portfolio_wave = 4;
     options.portfolio_patience = 1;  // aggressive early stop: skips expected
     router::sabre_stats stats;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, dist, options, &stats);
     EXPECT_EQ(stats.trials_run + stats.trials_pruned + stats.trials_skipped, 24u);
     EXPECT_GE(stats.waves, 1u);
     EXPECT_LE(stats.waves, 6u);
@@ -316,6 +317,7 @@ TEST(portfolio_sabre, accounts_for_every_requested_trial) {
 
 TEST(portfolio_sabre, target_swaps_stops_scheduling) {
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options options;
@@ -327,7 +329,7 @@ TEST(portfolio_sabre, target_swaps_stops_scheduling) {
     options.portfolio_patience = 0;
     options.portfolio_target_swaps = 1000000;  // any result satisfies the target
     router::sabre_stats stats;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, dist, options, &stats);
     // One wave establishes an incumbent below the target; no further
     // waves are scheduled.
     EXPECT_EQ(stats.waves, 1u);
@@ -336,6 +338,7 @@ TEST(portfolio_sabre, target_swaps_stops_scheduling) {
 
 TEST(portfolio_sabre, rejects_shrinking_budget_growth) {
     const auto device = arch::line(3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 1;
     gen.seed = 1;
@@ -343,30 +346,31 @@ TEST(portfolio_sabre, rejects_shrinking_budget_growth) {
     router::sabre_options options;
     options.portfolio = true;
     options.portfolio_budget_growth = 0.5;
-    EXPECT_THROW((void)router::route_sabre(instance.logical, device.coupling, options),
-                 std::invalid_argument);
+    EXPECT_THROW((void)router::route_sabre(instance.logical, dist, options), std::invalid_argument);
 }
 
 TEST(parallel_sabre, rejects_negative_threads) {
     const auto device = arch::line(3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 1;
     gen.seed = 1;
     const auto instance = core::generate(device, gen);
     router::sabre_options options;
     options.threads = -1;
-    EXPECT_THROW((void)router::route_sabre(instance.logical, device.coupling, options),
-                 std::invalid_argument);
+    EXPECT_THROW((void)router::route_sabre(instance.logical, dist, options), std::invalid_argument);
 }
 
 // --- flat distance matrix ----------------------------------------------------
 
 TEST(flat_distance, matches_naive_bfs_on_random_graphs) {
+    distance_options dense;
+    dense.mode = distance_options::storage_mode::dense;
     rng random(17);
     for (int round = 0; round < 20; ++round) {
         const int n = random.range(2, 40);
         const graph g = random_connected_graph(n, random.range(0, n), random);
-        const distance_matrix dist(g);
+        const distance_provider dist(g, dense);
         ASSERT_EQ(dist.num_vertices(), n);
         for (int v = 0; v < n; ++v) {
             const auto row = bfs_distances(g, {v});
@@ -382,10 +386,12 @@ TEST(flat_distance, disconnected_pairs_unreachable) {
     graph g(4);
     g.add_edge(0, 1);
     g.add_edge(2, 3);
-    const distance_matrix dist(g);
+    distance_options dense;
+    dense.mode = distance_options::storage_mode::dense;
+    const distance_provider dist(g, dense);
     EXPECT_EQ(dist(0, 1), 1);
-    EXPECT_EQ(dist(0, 2), distance_matrix::unreachable());
-    EXPECT_EQ(dist(3, 1), distance_matrix::unreachable());
+    EXPECT_EQ(dist(0, 2), distance_provider::unreachable());
+    EXPECT_EQ(dist(3, 1), distance_provider::unreachable());
     EXPECT_EQ(dist.diameter(), 1);
 }
 
@@ -401,10 +407,9 @@ TEST(parallel_eval, records_match_serial_order_and_values) {
     spec.base_seed = 9;
     const auto s = core::generate_suite(device, spec);
 
-    eval::toolbox_options toolbox;
-    toolbox.sabre.trials = 2;
-    toolbox.sabre.threads = 1;  // parallelism lives at the suite level here
-    const auto tools = eval::paper_toolbox(toolbox);
+    // Tools stay serial (the registry default); parallelism lives at the
+    // suite level here.
+    const auto tools = eval::paper_toolbox(/*sabre_trials=*/2);
 
     const auto serial = eval::evaluate_suite(s, device, tools, 1);
     const auto parallel = eval::evaluate_suite(s, device, tools, 4);

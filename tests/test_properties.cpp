@@ -20,6 +20,7 @@ class pipeline : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(pipeline, full_round_trip_per_architecture) {
     const auto device = arch::by_name(GetParam());
+    const distance_provider dist(device.coupling);
 
     core::suite_spec spec;
     spec.arch_name = device.name;
@@ -48,7 +49,7 @@ TEST_P(pipeline, full_round_trip_per_architecture) {
         // certified lower bound.
         router::sabre_options options;
         options.trials = 2;
-        const auto routed = router::route_sabre(instance.logical, device.coupling, options);
+        const auto routed = router::route_sabre(instance.logical, dist, options);
         const auto report = validate_routed(instance.logical, routed, device.coupling);
         ASSERT_TRUE(report.valid) << report.error;
         EXPECT_GE(report.swap_count, static_cast<std::size_t>(instance.optimal_swaps));

@@ -50,15 +50,16 @@ class all_routers : public ::testing::TestWithParam<router_case> {};
 TEST_P(all_routers, produce_valid_routings) {
     const auto& param = GetParam();
     const auto device = arch::by_name(param.arch);
+    const distance_provider dist(device.coupling);
     const circuit logical = random_circuit(device.num_qubits(), param.gates, param.seed);
 
     router::sabre_options sabre;
     sabre.trials = 2;
     const auto results = {
-        std::pair{"sabre", router::route_sabre(logical, device.coupling, sabre)},
-        std::pair{"tket", router::route_tket(logical, device.coupling)},
-        std::pair{"qmap", router::route_qmap(logical, device.coupling)},
-        std::pair{"mlqls", router::route_mlqls(logical, device.coupling, router::mlqls_options{})},
+        std::pair{"sabre", router::route_sabre(logical, dist, sabre)},
+        std::pair{"tket", router::route_tket(logical, dist)},
+        std::pair{"qmap", router::route_qmap(logical, dist)},
+        std::pair{"mlqls", router::route_mlqls(logical, dist, router::mlqls_options{})},
     };
     for (const auto& [name, routed] : results) {
         const auto report = validate_routed(logical, routed, device.coupling);
@@ -79,15 +80,16 @@ TEST(sabre, executable_in_place_circuit_needs_no_swaps) {
     // A QUEKO circuit is executable under its hidden mapping; SABRE given
     // that mapping must insert zero swaps.
     const auto device = arch::grid(3, 3);
+    const distance_provider dist(device.coupling);
     const auto queko = core::generate_queko(device, {.depth = 10, .density = 0.6, .seed = 3});
-    const auto routed = router::route_sabre_with_initial(queko.logical, device.coupling,
-                                                         queko.hidden_mapping);
+    const auto routed = router::route_sabre_with_initial(queko.logical, dist, queko.hidden_mapping);
     EXPECT_EQ(routed.swap_count(), 0u);
     EXPECT_TRUE(validate_routed(queko.logical, routed, device.coupling).valid);
 }
 
 TEST(sabre, more_trials_never_worse) {
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options options;
     options.num_swaps = 5;
     options.seed = 17;
@@ -99,14 +101,15 @@ TEST(sabre, more_trials_never_worse) {
     one.seed = 5;
     router::sabre_options many = one;
     many.trials = 16;
-    const auto few = router::route_sabre(instance.logical, device.coupling, one);
-    const auto lots = router::route_sabre(instance.logical, device.coupling, many);
+    const auto few = router::route_sabre(instance.logical, dist, one);
+    const auto lots = router::route_sabre(instance.logical, dist, many);
     EXPECT_LE(lots.swap_count(), few.swap_count());
     EXPECT_GE(lots.swap_count(), static_cast<std::size_t>(instance.optimal_swaps));
 }
 
 TEST(sabre, stats_and_observer) {
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options options;
     options.num_swaps = 3;
     options.seed = 2;
@@ -116,7 +119,7 @@ TEST(sabre, stats_and_observer) {
     router::sabre_stats stats;
     std::size_t observed = 0;
     const auto routed = router::route_sabre_with_initial(
-        instance.logical, device.coupling, instance.answer.initial, {},
+        instance.logical, dist, instance.answer.initial, {},
         [&observed](const router::sabre_decision& d) {
             ++observed;
             EXPECT_FALSE(d.front_nodes.empty());
@@ -138,6 +141,7 @@ TEST(sabre, stats_and_observer) {
 
 TEST(sabre, lookahead_decay_produces_valid_routings) {
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     core::generator_options options;
     options.num_swaps = 5;
     options.seed = 4;
@@ -147,22 +151,23 @@ TEST(sabre, lookahead_decay_produces_valid_routings) {
         router::sabre_options sabre;
         sabre.trials = 2;
         sabre.lookahead_decay = decay;
-        const auto routed = router::route_sabre(instance.logical, device.coupling, sabre);
+        const auto routed = router::route_sabre(instance.logical, dist, sabre);
         EXPECT_TRUE(validate_routed(instance.logical, routed, device.coupling).valid)
             << "decay " << decay;
     }
 }
 
 TEST(sabre, rejects_bad_trials) {
-    EXPECT_THROW((void)router::route_sabre(circuit(2), arch::line(2).coupling, {.trials = 0}),
-                 std::invalid_argument);
+    const distance_provider dist(arch::line(2).coupling);
+    EXPECT_THROW((void)router::route_sabre(circuit(2), dist, {.trials = 0}), std::invalid_argument);
 }
 
 TEST(qmap, stats_reflect_layers) {
     const auto device = arch::grid(3, 3);
+    const distance_provider dist(device.coupling);
     const circuit logical = random_circuit(9, 40, 11);
     router::qmap_stats stats;
-    const auto routed = router::route_qmap(logical, device.coupling, {}, &stats);
+    const auto routed = router::route_qmap(logical, dist, {}, &stats);
     EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid);
     EXPECT_GT(stats.layers, 0u);
     EXPECT_EQ(stats.layers, stats.astar_solved_layers + stats.fallback_layers);
@@ -170,19 +175,20 @@ TEST(qmap, stats_reflect_layers) {
 
 TEST(routers, empty_and_single_qubit_circuits) {
     const auto device = arch::line(4);
+    const distance_provider dist(device.coupling);
     circuit empty(4);
     circuit only_1q(4);
     only_1q.append(gate::h(0));
     only_1q.append(gate::rz(3, 0.25));
     for (const auto& logical : {empty, only_1q}) {
-        const auto sabre = router::route_sabre(logical, device.coupling, {.trials = 1});
+        const auto sabre = router::route_sabre(logical, dist, {.trials = 1});
         EXPECT_TRUE(validate_routed(logical, sabre, device.coupling).valid);
         EXPECT_EQ(sabre.swap_count(), 0u);
-        const auto tket = router::route_tket(logical, device.coupling);
+        const auto tket = router::route_tket(logical, dist);
         EXPECT_TRUE(validate_routed(logical, tket, device.coupling).valid);
-        const auto qmap = router::route_qmap(logical, device.coupling);
+        const auto qmap = router::route_qmap(logical, dist);
         EXPECT_TRUE(validate_routed(logical, qmap, device.coupling).valid);
-        const auto mlqls = router::route_mlqls(logical, device.coupling, router::mlqls_options{});
+        const auto mlqls = router::route_mlqls(logical, dist, router::mlqls_options{});
         EXPECT_TRUE(validate_routed(logical, mlqls, device.coupling).valid);
     }
 }
@@ -225,7 +231,7 @@ TEST(router_common, greedy_placement_is_injective) {
     const auto device = arch::rochester53();
     const circuit logical = random_circuit(53, 200, 13);
     const distance_provider dist(device.coupling);
-    const mapping m = router::greedy_placement(logical, device.coupling, dist);
+    const mapping m = router::greedy_placement(logical, dist);
     std::set<int> images;
     for (int q = 0; q < 53; ++q) images.insert(m.physical(q));
     EXPECT_EQ(images.size(), 53u);
@@ -239,7 +245,7 @@ TEST(router_common, force_route_makes_gate_executable) {
     const distance_provider dist(device.coupling);
     mapping m = mapping::identity(6, 6);
     router::emission_buffer emit(c, dag, 6);
-    router::force_route(0, dag, device.coupling, dist, m, emit);
+    router::force_route(0, dag, dist, m, emit);
     EXPECT_TRUE(device.coupling.has_edge(m.physical(0), m.physical(5)));
     EXPECT_EQ(emit.swaps_emitted(), 4u);  // distance 5 -> 4 swaps
 }
@@ -267,9 +273,11 @@ TEST(score_kernel, all_registry_tools_route_identically_across_backends) {
 }
 
 // The lazy distance provider is an optimization, never an observable:
-// routed output must match the dense provider at every thread count
-// (concurrent trials race to materialize rows — first writer wins, all
-// readers see identical values).
+// every registered tool must route identically on a forced-dense and a
+// forced-lazy routing context, at every thread count (concurrent trials
+// race to materialize rows — first writer wins, all readers see
+// identical values). This covers every lazy read path: the SABRE score
+// kernel, greedy_placement, force_route and the tket/qmap/mlqls loops.
 TEST(distance_provider_routing, lazy_matches_dense_at_1_2_4_threads) {
     const auto device = arch::rochester53();
     const circuit logical = random_circuit(device.num_qubits(), 200, 23);
@@ -277,20 +285,29 @@ TEST(distance_provider_routing, lazy_matches_dense_at_1_2_4_threads) {
     dense_opts.mode = distance_options::storage_mode::dense;
     distance_options lazy_opts;
     lazy_opts.mode = distance_options::storage_mode::lazy;
-    const distance_provider dense_dist(device.coupling, dense_opts);
-    for (const int threads : {1, 2, 4}) {
-        router::sabre_options options;
-        options.trials = 8;
-        options.threads = threads;
-        const distance_provider lazy_dist(device.coupling, lazy_opts);
-        const auto dense_routed =
-            router::route_sabre(logical, device.coupling, dense_dist, options);
-        const auto lazy_routed =
-            router::route_sabre(logical, device.coupling, lazy_dist, options);
-        EXPECT_EQ(dense_routed.swap_count(), lazy_routed.swap_count())
-            << "lazy diverged from dense at threads=" << threads;
-        EXPECT_TRUE(dense_routed.physical.gates() == lazy_routed.physical.gates())
-            << "lazy emitted a different circuit at threads=" << threads;
+    const auto dense = tools::make_routing_context(device.coupling, dense_opts);
+    ASSERT_FALSE(dense->lazy_distances());
+    for (const auto& name : tools::registered_tool_names()) {
+        const tools::tool_info& info = tools::tool_registry_info(name);
+        for (const int threads : {1, 2, 4}) {
+            // Thread count only matters to tools that have the knob.
+            if (threads > 1 && info.find_option("threads") == nullptr) continue;
+            json::object overrides;
+            if (info.find_option("trials") != nullptr) overrides["trials"] = 8;
+            if (info.find_option("threads") != nullptr) overrides["threads"] = threads;
+            const auto lazy = tools::make_routing_context(device.coupling, lazy_opts);
+            ASSERT_TRUE(lazy->lazy_distances());
+            const json::value options(std::move(overrides));
+            const auto dense_routed =
+                tools::make_tool(name, options, dense).run(logical, device.coupling);
+            const auto lazy_routed =
+                tools::make_tool(name, options, lazy).run(logical, device.coupling);
+            EXPECT_GT(lazy->distances().rows_built(), 0u) << name;
+            EXPECT_EQ(dense_routed.swap_count(), lazy_routed.swap_count())
+                << name << ": lazy diverged from dense at threads=" << threads;
+            EXPECT_TRUE(dense_routed.physical.gates() == lazy_routed.physical.gates())
+                << name << ": lazy emitted a different circuit at threads=" << threads;
+        }
     }
 }
 

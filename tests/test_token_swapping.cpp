@@ -113,7 +113,7 @@ TEST_P(token_swapping_random, sequence_realizes_target_within_bounds) {
 
         // Weak upper bound: each token can always be finished with a
         // there-and-back transposition walk.
-        const distance_matrix dist(g);
+        const distance_provider dist(g);
         std::size_t bound = 0;
         for (int t = 0; t < tokens; ++t) {
             bound += 2 * static_cast<std::size_t>(

@@ -112,6 +112,7 @@ TEST(tools_registry, default_lineup_reproduces_direct_router_calls) {
     // the pre-registry hardcoded lineup knob for knob.
     const auto instance = aspen_instance(5, 42);
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     const auto lineup = eval::paper_toolbox();
     ASSERT_EQ(lineup.size(), 4u);
     EXPECT_EQ(lineup[0].name, "lightsabre");
@@ -122,19 +123,20 @@ TEST(tools_registry, default_lineup_reproduces_direct_router_calls) {
     router::sabre_options sabre;
     sabre.trials = 32;  // the documented toolbox default
     expect_same_routing(lineup[0].run(instance.logical, device.coupling),
-                        router::route_sabre(instance.logical, device.coupling, sabre));
+                        router::route_sabre(instance.logical, dist, sabre));
     expect_same_routing(
         lineup[1].run(instance.logical, device.coupling),
-        router::route_mlqls(instance.logical, device.coupling, router::mlqls_options{}));
+        router::route_mlqls(instance.logical, dist, router::mlqls_options{}));
     expect_same_routing(lineup[2].run(instance.logical, device.coupling),
-                        router::route_qmap(instance.logical, device.coupling));
+                        router::route_qmap(instance.logical, dist));
     expect_same_routing(lineup[3].run(instance.logical, device.coupling),
-                        router::route_tket(instance.logical, device.coupling));
+                        router::route_tket(instance.logical, dist));
 }
 
 TEST(tools_registry, option_overrides_reach_the_router) {
     const auto instance = aspen_instance(5, 7);
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     const auto tool = tools::make_tool(
         "sabre", json::object{{"trials", 5}, {"seed", 9}, {"lookahead_decay", 0.5}});
     router::sabre_options expected;
@@ -142,7 +144,7 @@ TEST(tools_registry, option_overrides_reach_the_router) {
     expected.seed = 9;
     expected.lookahead_decay = 0.5;
     expect_same_routing(tool.run(instance.logical, device.coupling),
-                        router::route_sabre(instance.logical, device.coupling, expected));
+                        router::route_sabre(instance.logical, dist, expected));
 }
 
 TEST(tools_registry, shared_context_changes_nothing_but_work) {
@@ -172,7 +174,8 @@ TEST(tools_registry, shared_context_changes_nothing_but_work) {
     EXPECT_FALSE(context->matches(grid.coupling));
     const auto misbound = tools::make_tool("tket", {}, context);
     const auto routed = misbound.run(grid_instance.logical, grid.coupling);
-    expect_same_routing(routed, router::route_tket(grid_instance.logical, grid.coupling));
+    expect_same_routing(routed,
+                        router::route_tket(grid_instance.logical, distance_provider(grid.coupling)));
     EXPECT_TRUE(validate_routed(grid_instance.logical, routed, grid.coupling).valid);
 }
 
@@ -288,20 +291,14 @@ TEST(tools_registry, json_dump_snapshot) {
 
 TEST(tools_registry, register_tool_rejects_duplicates_and_bad_schemas) {
     EXPECT_THROW(tools::register_tool({"tket", "dup", {}},
-                                      [](const json::value&,
-                                         std::shared_ptr<const tools::routing_context>) {
-                                          return eval::tool{};
-                                      }),
+                                      [](const json::value&) { return tools::tool_router{}; }),
                  std::invalid_argument);
     // A default that contradicts its declared kind is rejected up front.
     tools::tool_info bad;
     bad.name = "bad_schema_tool";
     bad.options = {{"knob", tools::option_kind::boolean, json::value(3), "doc"}};
     EXPECT_THROW(tools::register_tool(std::move(bad),
-                                      [](const json::value&,
-                                         std::shared_ptr<const tools::routing_context>) {
-                                          return eval::tool{};
-                                      }),
+                                      [](const json::value&) { return tools::tool_router{}; }),
                  std::invalid_argument);
 }
 
