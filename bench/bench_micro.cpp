@@ -212,9 +212,10 @@ json::value time_candidate_swaps(int reps, std::size_t gates) {
     const distance_provider dist(device.coupling);
     const int calls = 2000;
     std::vector<edge> out;  // reused across calls, as in the routers
+    router::candidate_marks marks;
     const double seconds = best_seconds(reps, [&] {
         for (int i = 0; i < calls; ++i) {
-            router::candidate_swaps(frontier.front(), dag, dist, current, out);
+            router::candidate_swaps(frontier.front(), dag, dist, current, marks, out);
         }
     });
     const double per_call_us = seconds / calls * 1e6;
@@ -473,7 +474,9 @@ json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
     //      baseline on a realistic decision shape (gated at 1.2x by
     //      bench_regression_gate when a vector backend is active);
     //   2. identity — scalar and dispatched backends produce the exact
-    //      same scores and the exact same routed circuit.
+    //      same scores, on both kernel paths (the uniform batch whose
+    //      extended distances are summed as integers, and a weighted
+    //      batch with weights below 1), and the exact same routed circuit.
     const auto device = arch::sycamore54();
     const distance_provider dist(device.coupling);
     const auto n = static_cast<std::uint64_t>(device.num_qubits());
@@ -491,7 +494,6 @@ json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
     for (auto& p : front_p1) p = static_cast<std::int32_t>(random.below(n));
     for (auto& p : ext_p0) p = static_cast<std::int32_t>(random.below(n));
     for (auto& p : ext_p1) p = static_cast<std::int32_t>(random.below(n));
-    const std::vector<double> ext_weight(kExt, 1.0);
     const std::vector<edge>& candidates = device.coupling.edges();
 
     router::score_batch batch;
@@ -501,7 +503,7 @@ json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
     batch.ext_p0 = ext_p0.data();
     batch.ext_p1 = ext_p1.data();
     batch.ext_gates = kExt;
-    batch.ext_weight = ext_weight.data();
+    batch.ext_weight = nullptr;  // uniform: lookahead_decay == 1
     batch.ext_norm = static_cast<double>(kExt);
     batch.dist = &dist;
 
@@ -509,14 +511,13 @@ json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
     std::vector<double> la_scalar(candidates.size());
     std::vector<double> basic_auto(candidates.size());
     std::vector<double> la_auto(candidates.size());
-    std::vector<std::int32_t> scratch;
 
     const int calls = 2000;
     router::force_simd_backend(router::simd_backend::scalar);
     const double seconds_scalar = best_seconds(reps, [&] {
         for (int c = 0; c < calls; ++c) {
             router::score_candidates(batch, candidates.data(), candidates.size(),
-                                     basic_scalar.data(), la_scalar.data(), scratch);
+                                     basic_scalar.data(), la_scalar.data());
         }
     });
     router::reset_simd_backend_from_env();
@@ -525,12 +526,33 @@ json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
     const double seconds_auto = best_seconds(reps, [&] {
         for (int c = 0; c < calls; ++c) {
             router::score_candidates(batch, candidates.data(), candidates.size(),
-                                     basic_auto.data(), la_auto.data(), scratch);
+                                     basic_auto.data(), la_auto.data());
         }
     });
     // Exact double comparison on purpose: the backends promise
     // bit-identical scores, not close ones.
-    const bool identical_scores = basic_scalar == basic_auto && la_scalar == la_auto;
+    bool identical_scores = basic_scalar == basic_auto && la_scalar == la_auto;
+
+    // The weighted path (lookahead_decay < 1), checked untimed.
+    std::vector<double> ext_weight(kExt);
+    double w = 1.0;
+    double norm = 0.0;
+    for (double& weight : ext_weight) {
+        weight = w;
+        norm += w;
+        w *= 0.7;
+    }
+    router::score_batch weighted = batch;
+    weighted.ext_weight = ext_weight.data();
+    weighted.ext_norm = norm;
+    router::force_simd_backend(router::simd_backend::scalar);
+    router::score_candidates(weighted, candidates.data(), candidates.size(),
+                             basic_scalar.data(), la_scalar.data());
+    router::reset_simd_backend_from_env();
+    router::score_candidates(weighted, candidates.data(), candidates.size(), basic_auto.data(),
+                             la_auto.data());
+    identical_scores =
+        identical_scores && basic_scalar == basic_auto && la_scalar == la_auto;
 
     const auto instance = make_instance(device, 10, gates);
     router::sabre_options options;

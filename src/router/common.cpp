@@ -50,7 +50,9 @@ void dag_frontier::lookahead_set(int limit, std::vector<int>& out, std::vector<c
                                  std::vector<int>& queue) const {
     out.clear();
     if (limit <= 0) return;
-    seen.assign(static_cast<std::size_t>(dag_->num_nodes()), 0);
+    if (seen.size() != static_cast<std::size_t>(dag_->num_nodes())) {
+        seen.assign(static_cast<std::size_t>(dag_->num_nodes()), 0);
+    }
     queue.clear();
     // The deque of the allocating version becomes a vector plus a head
     // cursor: pops never reclaim space, so the traversal order (and the
@@ -73,6 +75,10 @@ void dag_frontier::lookahead_set(int limit, std::vector<int>& out, std::vector<c
             queue.push_back(succ);
         }
     }
+    // Every node marked above is in the front or in `out` (the queue is a
+    // subset of both), so clearing those two leaves `seen` all-zero.
+    for (const int node : front_) seen[static_cast<std::size_t>(node)] = 0;
+    for (const int node : out) seen[static_cast<std::size_t>(node)] = 0;
 }
 
 // --- emission_buffer --------------------------------------------------------
@@ -222,20 +228,36 @@ void force_route(int node, const gate_dag& dag, const distance_provider& dist, m
 
 void candidate_swaps(const std::vector<int>& front, const gate_dag& dag,
                      const distance_provider& dist, const mapping& current,
-                     std::vector<edge>& out) {
+                     candidate_marks& marks, std::vector<edge>& out) {
     const graph& coupling = dist.coupling();
     out.clear();
+    if (marks.stamp.size() < static_cast<std::size_t>(coupling.num_vertices())) {
+        marks.stamp.assign(static_cast<std::size_t>(coupling.num_vertices()), 0);
+    }
+    if (++marks.epoch == 0) {
+        // Stamp wrap-around: stale marks could alias the new stamp.
+        std::fill(marks.stamp.begin(), marks.stamp.end(), 0);
+        marks.epoch = 1;
+    }
+    const std::uint32_t epoch = marks.epoch;
+    for (const int node : front) {
+        const gate& g = dag.node_gate(node);
+        marks.stamp[static_cast<std::size_t>(current.physical(g.q0))] = epoch;
+        marks.stamp[static_cast<std::size_t>(current.physical(g.q1))] = epoch;
+    }
+    // Front gates share no qubit, so every front position is visited once.
+    // An edge between two front positions is emitted from its smaller
+    // endpoint only; any other edge has one front endpoint.
     for (const int node : front) {
         const gate& g = dag.node_gate(node);
         for (const int q : {g.q0, g.q1}) {
             const int p = current.physical(q);
-            for (const int pn : coupling.neighbors(p)) out.push_back(edge(p, pn));
+            for (const int pn : coupling.neighbors(p)) {
+                if (pn < p && marks.stamp[static_cast<std::size_t>(pn)] == epoch) continue;
+                out.push_back(edge(p, pn));
+            }
         }
     }
-    // Sorted + deduplicated matches the old std::set iteration order
-    // exactly, so routing decisions (and tie-breaks) are unchanged.
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 }  // namespace qubikos::router

@@ -9,6 +9,7 @@
 //   - shortest-path fallback routing used as a progress guarantee.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -48,8 +49,11 @@ public:
 
     /// Allocation-free variant: fills `out` (cleared first) with exactly
     /// the nodes lookahead_set(limit) would return, using the caller's
-    /// `seen`/`queue` scratch. The routers call this once per emitted
-    /// swap, so the buffers' capacity persists across the routing loop.
+    /// `seen`/`queue` scratch. SABRE calls this once per frontier change,
+    /// so the buffers' capacity persists across the routing loop. `seen`
+    /// is left all-zero on return and is cleared in full only when its
+    /// size is not the DAG's node count; otherwise only the entries this
+    /// call set are reset, so a call costs O(front + limit), not O(gates).
     void lookahead_set(int limit, std::vector<int>& out, std::vector<char>& seen,
                        std::vector<int>& queue) const;
 
@@ -118,14 +122,24 @@ private:
 void force_route(int node, const gate_dag& dag, const distance_provider& dist, mapping& current,
                  emission_buffer& out);
 
+/// Reusable scratch of candidate_swaps: per physical qubit, the stamp of
+/// the last call that found a front-gate operand there. A fresh stamp per
+/// call marks the front positions without clearing the array.
+struct candidate_marks {
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t epoch = 0;
+};
+
 /// Candidate swaps for a front layer: all coupling edges incident to the
-/// physical location of any front-gate operand (normalized, deduplicated,
-/// ascending). Fills `out` (cleared first) via sort+unique on the caller's
-/// reused buffer — the routers call this once per emitted swap, so the
-/// buffer's capacity persists across the whole routing loop instead of a
-/// std::set allocating per node per decision point.
+/// physical location of any front-gate operand, normalized, each edge
+/// exactly once, in no particular order (front gates, then their operands,
+/// then coupling adjacency). Callers that need an order impose it: SABRE
+/// sorts only its tied-best candidates, t|ket> breaks cost ties by the
+/// smaller edge. Fills `out` (cleared first); the routers call this once
+/// per emitted swap, so `out` and `marks` keep their capacity across the
+/// whole routing loop.
 void candidate_swaps(const std::vector<int>& front, const gate_dag& dag,
                      const distance_provider& dist, const mapping& current,
-                     std::vector<edge>& out);
+                     candidate_marks& marks, std::vector<edge>& out);
 
 }  // namespace qubikos::router

@@ -57,6 +57,7 @@ struct pass_scratch {
     dag_frontier frontier;
     std::vector<double> decay;
     std::vector<int> executable;
+    candidate_marks marks;
     std::vector<edge> candidates;
     std::vector<int> extended;
     std::vector<char> lookahead_seen;
@@ -66,10 +67,9 @@ struct pass_scratch {
     std::vector<std::int32_t> ext_p0;
     std::vector<std::int32_t> ext_p1;
     std::vector<double> ext_weight;
-    std::vector<std::int32_t> ext_dist;
     std::vector<double> basic_out;
     std::vector<double> lookahead_out;
-    std::vector<swap_score> scores;
+    std::vector<double> totals;
     std::vector<std::size_t> best_indices;
 
     explicit pass_scratch(const gate_dag& dag) : frontier(dag) {}
@@ -84,17 +84,23 @@ struct pass_limits {
     const std::atomic<std::size_t>* incumbent = nullptr;
 };
 
+/// Exchanges physical positions a and b wherever they occur in `ps`.
+void swap_positions(std::vector<std::int32_t>& ps, int a, int b) {
+    for (std::int32_t& p : ps) p = p == a ? b : (p == b ? a : p);
+}
+
 /// One routing pass over a prepared DAG. `current` is the initial
 /// mapping on entry and the final mapping on return. Returns false when
 /// a limit aborted the pass (current/emit then hold partial state).
 /// `decisions` accumulates every swap applied, across calls.
 ///
-/// The inner loops run on the reused scratch: the executable drain
-/// collects into one vector instead of copying the front layer per
-/// sweep, per-gate physical operand locations are looked up once per
-/// decision point (not once per candidate x gate) into flat int32
-/// buffers, and the score / tie-break vectors keep their capacity across
-/// iterations.
+/// Decision state persists across swaps. The extended set, the physical
+/// operand arrays of the front and extended gates and the extended-set
+/// weights depend only on the frontier and the mapping; they are rebuilt
+/// when the frontier changes (a gate executed, or the release valve
+/// force-routed) and patched in place after a swap (a, b). After a swap,
+/// only the front gates at a or b can have become executable, so the
+/// sweep checks just those. All buffers are the reused scratch.
 bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& current,
                 const sabre_options& options, rng& random, emission_buffer* emit,
                 const sabre_observer& observer, std::size_t* force_route_count,
@@ -108,16 +114,23 @@ bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& cur
     int swaps_since_progress = 0;
     const int release_threshold =
         options.release_valve > 0 ? options.release_valve : 3 * dist.diameter() + 20;
+    const bool uniform_lookahead = options.lookahead_decay == 1.0;
 
     std::vector<int>& executable = scratch.executable;
     std::vector<edge>& candidates = scratch.candidates;
+    const std::vector<int>& extended = scratch.extended;
     std::vector<std::int32_t>& front_p0 = scratch.front_p0;
     std::vector<std::int32_t>& front_p1 = scratch.front_p1;
     std::vector<std::int32_t>& ext_p0 = scratch.ext_p0;
     std::vector<std::int32_t>& ext_p1 = scratch.ext_p1;
     std::vector<double>& ext_weight = scratch.ext_weight;
-    std::vector<swap_score>& scores = scratch.scores;
+    std::vector<double>& totals = scratch.totals;
     std::vector<std::size_t>& best_indices = scratch.best_indices;
+    double ext_norm = 1.0;
+    // True when the cached extended set / operand arrays are stale.
+    bool frontier_changed = true;
+    // The swap applied since the last sweep; (-1, -1) = sweep every gate.
+    edge swapped(-1, -1);
 
     const auto reset_decay = [&decay, &swaps_since_reset]() {
         std::fill(decay.begin(), decay.end(), 1.0);
@@ -129,31 +142,82 @@ bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& cur
                emit->swaps_emitted() > limits.incumbent->load(std::memory_order_relaxed);
     };
 
+    const auto collect_executable = [&]() {
+        executable.clear();
+        for (const int node : frontier.front()) {
+            const gate& g = dag.node_gate(node);
+            if (coupling.has_edge(current.physical(g.q0), current.physical(g.q1))) {
+                executable.push_back(node);
+            }
+        }
+    };
+
+    // Rebuilds the frontier-derived decision state under `current`.
+    const auto rebuild_operands = [&]() {
+        frontier.lookahead_set(options.extended_set_size, scratch.extended,
+                               scratch.lookahead_seen, scratch.lookahead_queue);
+        front_p0.clear();
+        front_p1.clear();
+        for (const int node : frontier.front()) {
+            const gate& g = dag.node_gate(node);
+            front_p0.push_back(current.physical(g.q0));
+            front_p1.push_back(current.physical(g.q1));
+        }
+        ext_p0.clear();
+        ext_p1.clear();
+        for (const int node : extended) {
+            const gate& g = dag.node_gate(node);
+            ext_p0.push_back(current.physical(g.q0));
+            ext_p1.push_back(current.physical(g.q1));
+        }
+        // Extended-set position weights: uniform (summed as integers by
+        // the kernel) when lookahead_decay == 1, geometric otherwise.
+        ext_norm = static_cast<double>(extended.size());
+        ext_weight.clear();
+        if (!uniform_lookahead && !extended.empty()) {
+            double w = 1.0;
+            ext_norm = 0.0;
+            for (std::size_t i = 0; i < extended.size(); ++i) {
+                ext_weight.push_back(w);
+                ext_norm += w;
+                w *= options.lookahead_decay;
+            }
+        }
+    };
+
     while (!frontier.done()) {
         // Execute everything executable. The mapping is fixed during a
         // sweep, so collecting first and executing second sees exactly
-        // the nodes a front-layer snapshot would.
-        bool executed_any = true;
-        bool progressed = false;
-        while (executed_any) {
-            executed_any = false;
+        // the nodes a front-layer snapshot would. After a swap, every
+        // front gate not at a swapped position is still not executable,
+        // so the first collection reads the patched operand arrays of
+        // just those gates; the set and its order match a full sweep.
+        if (swapped.a < 0) {
+            collect_executable();
+        } else {
             executable.clear();
-            for (const int node : frontier.front()) {
-                const gate& g = dag.node_gate(node);
-                if (coupling.has_edge(current.physical(g.q0), current.physical(g.q1))) {
-                    executable.push_back(node);
-                }
+            const auto& front = frontier.front();
+            for (std::size_t i = 0; i < front.size(); ++i) {
+                const int p0 = front_p0[i];
+                const int p1 = front_p1[i];
+                const bool moved = p0 == swapped.a || p0 == swapped.b || p1 == swapped.a ||
+                                   p1 == swapped.b;
+                if (moved && coupling.has_edge(p0, p1)) executable.push_back(front[i]);
             }
+        }
+        swapped = edge(-1, -1);
+        const bool progressed = !executable.empty();
+        while (!executable.empty()) {
             for (const int node : executable) {
                 if (emit != nullptr) emit->execute_two_qubit(node, current);
                 frontier.execute(node);
-                executed_any = true;
-                progressed = true;
             }
+            collect_executable();
         }
         if (progressed) {
             reset_decay();
             swaps_since_progress = 0;
+            frontier_changed = true;
         }
         if (frontier.done()) break;
 
@@ -170,6 +234,7 @@ bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& cur
                     best_node = node;
                 }
             }
+            frontier_changed = true;
             if (emit != nullptr) {
                 const std::size_t before = emit->swaps_emitted();
                 force_route(best_node, dag, dist, current, *emit);
@@ -196,44 +261,12 @@ bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& cur
             continue;
         }
 
-        // Score candidate swaps.
-        candidate_swaps(frontier.front(), dag, dist, current, candidates);
-        frontier.lookahead_set(options.extended_set_size, scratch.extended,
-                               scratch.lookahead_seen, scratch.lookahead_queue);
-        const std::vector<int>& extended = scratch.extended;
+        if (frontier_changed) {
+            rebuild_operands();
+            frontier_changed = false;
+        }
         const auto& front = frontier.front();
-
-        // Physical operand locations, looked up once per decision point
-        // and shared by every candidate's score. Structure-of-arrays
-        // (one lane per operand) so the batched kernel reads contiguous
-        // memory.
-        front_p0.clear();
-        front_p1.clear();
-        for (const int node : front) {
-            const gate& g = dag.node_gate(node);
-            front_p0.push_back(current.physical(g.q0));
-            front_p1.push_back(current.physical(g.q1));
-        }
-        ext_p0.clear();
-        ext_p1.clear();
-        for (const int node : extended) {
-            const gate& g = dag.node_gate(node);
-            ext_p0.push_back(current.physical(g.q0));
-            ext_p1.push_back(current.physical(g.q1));
-        }
-
-        // Extended-set position weights (uniform when lookahead_decay==1).
-        ext_weight.assign(extended.size(), 1.0);
-        double ext_norm = static_cast<double>(extended.size());
-        if (options.lookahead_decay < 1.0 && !extended.empty()) {
-            double w = 1.0;
-            ext_norm = 0.0;
-            for (std::size_t i = 0; i < extended.size(); ++i) {
-                ext_weight[i] = w;
-                ext_norm += w;
-                w *= options.lookahead_decay;
-            }
-        }
+        candidate_swaps(front, dag, dist, current, scratch.marks, candidates);
 
         // All candidates of the decision point scored in one kernel call
         // (scalar or SIMD — bit-identical either way; see score_kernel).
@@ -244,43 +277,55 @@ bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& cur
         batch.ext_p0 = ext_p0.data();
         batch.ext_p1 = ext_p1.data();
         batch.ext_gates = ext_p0.size();
-        batch.ext_weight = ext_weight.data();
+        batch.ext_weight = uniform_lookahead ? nullptr : ext_weight.data();
         batch.ext_norm = ext_norm;
         batch.extended_set_weight = options.extended_set_weight;
         batch.dist = &dist;
         scratch.basic_out.resize(candidates.size());
         scratch.lookahead_out.resize(candidates.size());
         score_candidates(batch, candidates.data(), candidates.size(),
-                         scratch.basic_out.data(), scratch.lookahead_out.data(),
-                         scratch.ext_dist);
+                         scratch.basic_out.data(), scratch.lookahead_out.data());
 
-        scores.clear();
-        scores.reserve(candidates.size());
-        double best_total = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < candidates.size(); ++c) {
+        const auto score_of = [&](std::size_t c) {
             swap_score s;
             s.candidate = candidates[c];
             s.basic = scratch.basic_out[c];
             s.lookahead = scratch.lookahead_out[c];
             s.decay_factor = std::max(decay[static_cast<std::size_t>(candidates[c].a)],
                                       decay[static_cast<std::size_t>(candidates[c].b)]);
-            best_total = std::min(best_total, s.total());
-            scores.push_back(s);
+            return s;
+        };
+        totals.resize(candidates.size());
+        double best_total = std::numeric_limits<double>::infinity();
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+            totals[c] = score_of(c).total();
+            best_total = std::min(best_total, totals[c]);
         }
 
-        // Random tie-break among the best candidates (as Qiskit does).
+        // Random tie-break among the best candidates (as Qiskit does),
+        // drawn from the ties in ascending edge order: candidate_swaps
+        // leaves its output unordered, so only the ties get sorted.
         best_indices.clear();
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            if (scores[i].total() <= best_total + 1e-12) best_indices.push_back(i);
+        for (std::size_t i = 0; i < totals.size(); ++i) {
+            if (totals[i] <= best_total + 1e-12) best_indices.push_back(i);
         }
+        std::sort(best_indices.begin(), best_indices.end(),
+                  [&candidates](std::size_t x, std::size_t y) {
+                      return candidates[x] < candidates[y];
+                  });
         const std::size_t pick = best_indices[random.below(best_indices.size())];
-        const edge chosen = scores[pick].candidate;
+        const edge chosen = candidates[pick];
 
         if (observer) {
             sabre_decision d;
             d.front_nodes = front;
             d.extended_nodes = extended;
-            d.scores = scores;
+            d.scores.reserve(candidates.size());
+            for (std::size_t c = 0; c < candidates.size(); ++c) d.scores.push_back(score_of(c));
+            std::sort(d.scores.begin(), d.scores.end(),
+                      [](const swap_score& x, const swap_score& y) {
+                          return x.candidate < y.candidate;
+                      });
             d.chosen = chosen;
             d.swaps_so_far = emit != nullptr ? emit->swaps_emitted() : 0;
             observer(d);
@@ -288,6 +333,10 @@ bool route_pass(const gate_dag& dag, const distance_provider& dist, mapping& cur
 
         if (emit != nullptr) emit->emit_swap(chosen.a, chosen.b);
         current.swap_physical(chosen.a, chosen.b);
+        for (auto* ps : {&front_p0, &front_p1, &ext_p0, &ext_p1}) {
+            swap_positions(*ps, chosen.a, chosen.b);
+        }
+        swapped = chosen;
         decay[static_cast<std::size_t>(chosen.a)] += options.decay_increment;
         decay[static_cast<std::size_t>(chosen.b)] += options.decay_increment;
         ++swaps_since_progress;
@@ -461,6 +510,10 @@ void validate_options(const sabre_options& options) {
         throw std::invalid_argument(
             "route_sabre: portfolio_budget_growth must be 0 (luby) or >= 1");
     }
+    // Written to reject NaN as well.
+    if (!(options.lookahead_decay >= 0.0 && options.lookahead_decay <= 1.0)) {
+        throw std::invalid_argument("route_sabre: lookahead_decay must be in [0, 1]");
+    }
 }
 
 /// Mapping-pass budget of wave `w` (>= 1): base scaled by the Luby
@@ -576,6 +629,7 @@ routed_circuit route_sabre_portfolio(const trial_context& ctx, sabre_stats* stat
 routed_circuit route_sabre_with_initial(const circuit& logical, const distance_provider& dist,
                                         const mapping& initial, const sabre_options& options,
                                         const sabre_observer& observer, sabre_stats* stats) {
+    validate_options(options);
     const obs::trace_span span("sabre.route");
     QUBIKOS_CHECK_MSG(initial.num_program() == logical.num_qubits() &&
                           initial.num_physical() == dist.num_vertices(),
@@ -619,6 +673,7 @@ routed_circuit route_sabre_with_initial(const circuit& logical, const distance_p
 
 mapping sabre_final_mapping(const circuit& logical, const distance_provider& dist,
                             const mapping& initial, const sabre_options& options) {
+    validate_options(options);
     const gate_dag dag(logical);
     rng random(options.seed);
     pass_scratch scratch(dag);

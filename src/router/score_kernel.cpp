@@ -37,38 +37,45 @@ std::atomic<simd_backend>& backend_state() {
     return state;
 }
 
-/// The original route_pass inner loop, verbatim: per candidate, ordered
-/// double accumulation of front distances then weighted extended-set
-/// distances. This is the reference every other backend must match
-/// bit-for-bit.
+/// The reference loop every other backend must match bit-for-bit: per
+/// candidate, the front distances summed, then the extended-set distances
+/// summed as integers (uniform batch) or weighted in gate order.
 void score_candidates_scalar(const score_batch& batch, const edge* candidates,
                              std::size_t count, double* basic, double* lookahead) {
     const distance_provider& dist = *batch.dist;
     for (std::size_t k = 0; k < count; ++k) {
         const int pa = candidates[k].a;
         const int pb = candidates[k].b;
-        double basic_sum = 0.0;
-        for (std::size_t i = 0; i < batch.front_gates; ++i) {
-            const int p0 = batch.front_p0[i];
-            const int p1 = batch.front_p1[i];
+        const auto swapped_distance = [&](const std::int32_t* p0s, const std::int32_t* p1s,
+                                          std::size_t i) {
+            const int p0 = p0s[i];
+            const int p1 = p1s[i];
             const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
             const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-            basic_sum += dist(m0, m1);
+            return dist(m0, m1);
+        };
+        std::int64_t front_sum = 0;
+        for (std::size_t i = 0; i < batch.front_gates; ++i) {
+            front_sum += swapped_distance(batch.front_p0, batch.front_p1, i);
         }
-        basic[k] = basic_sum / static_cast<double>(batch.front_gates);
-        if (batch.ext_gates > 0) {
-            double ext = 0.0;
-            for (std::size_t i = 0; i < batch.ext_gates; ++i) {
-                const int p0 = batch.ext_p0[i];
-                const int p1 = batch.ext_p1[i];
-                const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
-                const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-                ext += batch.ext_weight[i] * dist(m0, m1);
-            }
-            lookahead[k] = batch.extended_set_weight * ext / batch.ext_norm;
-        } else {
+        basic[k] = static_cast<double>(front_sum) / static_cast<double>(batch.front_gates);
+        if (batch.ext_gates == 0) {
             lookahead[k] = 0.0;
+            continue;
         }
+        double ext = 0.0;
+        if (batch.ext_weight == nullptr) {
+            std::int64_t ext_sum = 0;
+            for (std::size_t i = 0; i < batch.ext_gates; ++i) {
+                ext_sum += swapped_distance(batch.ext_p0, batch.ext_p1, i);
+            }
+            ext = static_cast<double>(ext_sum);
+        } else {
+            for (std::size_t i = 0; i < batch.ext_gates; ++i) {
+                ext += batch.ext_weight[i] * swapped_distance(batch.ext_p0, batch.ext_p1, i);
+            }
+        }
+        lookahead[k] = batch.extended_set_weight * ext / batch.ext_norm;
     }
 }
 
@@ -96,81 +103,74 @@ __attribute__((target("avx2"))) inline __m256i apply_swap8(__m256i p, __m256i vp
     return m;
 }
 
-/// 8-wide path over the dense matrix: per candidate, gather 8 post-swap
-/// distances per step. Front distances are int32 and their sum is exact
-/// in double, so vector reassociation cannot change the result; the
-/// extended-set distances are gathered into `ext_scratch` first and the
-/// FP weights applied in the original gate order, keeping the lookahead
-/// term bit-identical to the scalar backend. Dense only: the flat index
+/// Sum of the post-swap distances of gates [0, count) of one operand
+/// pair, 8 gathers at a time. Integer sums are exact, so the lane order
+/// cannot change the result.
+__attribute__((target("avx2"))) inline std::int64_t swapped_sum_avx2(
+    const std::int32_t* base, int n, const std::int32_t* p0s, const std::int32_t* p1s,
+    std::size_t count, int pa, int pb) {
+    const __m256i vn = _mm256_set1_epi32(n);
+    const __m256i vpa = _mm256_set1_epi32(pa);
+    const __m256i vpb = _mm256_set1_epi32(pb);
+    __m256i acc = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 8 <= count; i += 8) {
+        const __m256i p0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p0s + i));
+        const __m256i p1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p1s + i));
+        const __m256i m0 = apply_swap8(p0, vpa, vpb);
+        const __m256i m1 = apply_swap8(p1, vpa, vpb);
+        const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(m0, vn), m1);
+        acc = _mm256_add_epi32(acc, _mm256_i32gather_epi32(base, idx, 4));
+    }
+    std::int64_t sum = hsum_epi32(acc);
+    for (; i < count; ++i) {
+        const int p0 = p0s[i];
+        const int p1 = p1s[i];
+        const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
+        const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
+        sum += base[static_cast<std::size_t>(m0) * static_cast<std::size_t>(n) +
+                    static_cast<std::size_t>(m1)];
+    }
+    return sum;
+}
+
+/// 8-wide path over the dense matrix: the front term and a uniform
+/// extended term are gathered integer sums. A weighted batch applies its
+/// FP weights in the original gate order, one scalar lookup per gate,
+/// exactly as the scalar backend does. Dense only: the flat index
 /// m0*n + m1 stays well inside int32 for any matrix that fits in memory.
-__attribute__((target("avx2"))) void score_candidates_avx2(
-    const score_batch& batch, const edge* candidates, std::size_t count, double* basic,
-    double* lookahead, std::vector<std::int32_t>& ext_scratch) {
+__attribute__((target("avx2"))) void score_candidates_avx2(const score_batch& batch,
+                                                           const edge* candidates,
+                                                           std::size_t count, double* basic,
+                                                           double* lookahead) {
     const std::int32_t* base = batch.dist->dense_data();
     const int n = batch.dist->num_vertices();
-    const __m256i vn = _mm256_set1_epi32(n);
-    ext_scratch.resize(batch.ext_gates);
     for (std::size_t k = 0; k < count; ++k) {
         const int pa = candidates[k].a;
         const int pb = candidates[k].b;
-        const __m256i vpa = _mm256_set1_epi32(pa);
-        const __m256i vpb = _mm256_set1_epi32(pb);
-
-        __m256i acc = _mm256_setzero_si256();
-        std::size_t i = 0;
-        for (; i + 8 <= batch.front_gates; i += 8) {
-            const __m256i p0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(batch.front_p0 + i));
-            const __m256i p1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(batch.front_p1 + i));
-            const __m256i m0 = apply_swap8(p0, vpa, vpb);
-            const __m256i m1 = apply_swap8(p1, vpa, vpb);
-            const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(m0, vn), m1);
-            acc = _mm256_add_epi32(acc, _mm256_i32gather_epi32(base, idx, 4));
-        }
-        std::int64_t front_sum = hsum_epi32(acc);
-        for (; i < batch.front_gates; ++i) {
-            const int p0 = batch.front_p0[i];
-            const int p1 = batch.front_p1[i];
-            const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
-            const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-            front_sum += base[static_cast<std::size_t>(m0) * static_cast<std::size_t>(n) +
-                              static_cast<std::size_t>(m1)];
-        }
+        const std::int64_t front_sum = swapped_sum_avx2(base, n, batch.front_p0, batch.front_p1,
+                                                        batch.front_gates, pa, pb);
         basic[k] = static_cast<double>(front_sum) / static_cast<double>(batch.front_gates);
-
-        if (batch.ext_gates > 0) {
-            i = 0;
-            for (; i + 8 <= batch.ext_gates; i += 8) {
-                const __m256i p0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(batch.ext_p0 + i));
-                const __m256i p1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(batch.ext_p1 + i));
-                const __m256i m0 = apply_swap8(p0, vpa, vpb);
-                const __m256i m1 = apply_swap8(p1, vpa, vpb);
-                const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(m0, vn), m1);
-                _mm256_storeu_si256(reinterpret_cast<__m256i*>(ext_scratch.data() + i),
-                                    _mm256_i32gather_epi32(base, idx, 4));
-            }
-            for (; i < batch.ext_gates; ++i) {
+        if (batch.ext_gates == 0) {
+            lookahead[k] = 0.0;
+            continue;
+        }
+        double ext = 0.0;
+        if (batch.ext_weight == nullptr) {
+            ext = static_cast<double>(swapped_sum_avx2(base, n, batch.ext_p0, batch.ext_p1,
+                                                       batch.ext_gates, pa, pb));
+        } else {
+            for (std::size_t i = 0; i < batch.ext_gates; ++i) {
                 const int p0 = batch.ext_p0[i];
                 const int p1 = batch.ext_p1[i];
                 const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
                 const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-                ext_scratch[i] =
-                    base[static_cast<std::size_t>(m0) * static_cast<std::size_t>(n) +
-                         static_cast<std::size_t>(m1)];
+                ext += batch.ext_weight[i] *
+                       base[static_cast<std::size_t>(m0) * static_cast<std::size_t>(n) +
+                            static_cast<std::size_t>(m1)];
             }
-            // FP weights in the original gate order — see the header's
-            // determinism contract.
-            double ext = 0.0;
-            for (std::size_t g = 0; g < batch.ext_gates; ++g) {
-                ext += batch.ext_weight[g] * static_cast<double>(ext_scratch[g]);
-            }
-            lookahead[k] = batch.extended_set_weight * ext / batch.ext_norm;
-        } else {
-            lookahead[k] = 0.0;
         }
+        lookahead[k] = batch.extended_set_weight * ext / batch.ext_norm;
     }
 }
 
@@ -202,16 +202,14 @@ void reset_simd_backend_from_env() {
 }
 
 void score_candidates(const score_batch& batch, const edge* candidates, std::size_t count,
-                      double* basic, double* lookahead,
-                      std::vector<std::int32_t>& ext_scratch) {
-    static_cast<void>(ext_scratch);
+                      double* basic, double* lookahead) {
     if (count == 0) return;
 #if QUBIKOS_SCORE_KERNEL_AVX2
     // The gather path needs a dense base; lazy providers score through
     // the scalar loop (their row cache is the win at that scale).
     if (active_simd_backend() == simd_backend::avx2 &&
         batch.dist->dense_data() != nullptr) {
-        score_candidates_avx2(batch, candidates, count, basic, lookahead, ext_scratch);
+        score_candidates_avx2(batch, candidates, count, basic, lookahead);
         return;
     }
 #endif

@@ -12,10 +12,14 @@
 //             has a dense base to gather from).
 //
 // Determinism contract: integer distance sums are exact in double
-// (< 2^53), so the front-layer term is reassociation-safe; the
-// floating-point extended-set weights are applied in the original gate
-// order by both backends. Every backend therefore produces bit-identical
-// scores — routed output never depends on the dispatch, pinned by test.
+// (< 2^53), so they are reassociation-safe. The front-layer term is
+// always such a sum, and so is the extended-set term of a uniform batch
+// (ext_weight == nullptr, SABRE's lookahead_decay == 1): both backends
+// sum those distances as integers in any order and convert once. A
+// weighted batch applies its floating-point weights in the original gate
+// order in both backends. Every backend therefore produces bit-identical
+// scores, equal to an ordered double accumulation — routed output never
+// depends on the dispatch, pinned by test.
 //
 // QUBIKOS_SIMD=scalar|auto overrides the dispatch (auto = best
 // supported); force_simd_backend() overrides it programmatically for
@@ -24,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "graph/distance.hpp"
 #include "graph/graph.hpp"
@@ -54,7 +57,9 @@ struct score_batch {
     const std::int32_t* ext_p0 = nullptr;  ///< extended-set operand 0, physical
     const std::int32_t* ext_p1 = nullptr;  ///< extended-set operand 1, physical
     std::size_t ext_gates = 0;
-    const double* ext_weight = nullptr;  ///< per extended gate, original order
+    /// Per extended gate, original order; nullptr = uniform weights (the
+    /// extended distances are summed as integers).
+    const double* ext_weight = nullptr;
     double ext_norm = 1.0;
     double extended_set_weight = 0.5;
     const distance_provider* dist = nullptr;
@@ -62,10 +67,9 @@ struct score_batch {
 
 /// Scores `count` candidate swaps against `batch`, writing per-candidate
 /// basic and lookahead terms (decay is applied by the caller — it is
-/// per-candidate state, not per-gate). `ext_scratch` is reused capacity
-/// for the vector backends' gathered extended distances. Requires
-/// front_gates > 0 when count > 0.
+/// per-candidate state, not per-gate). Requires front_gates > 0 when
+/// count > 0.
 void score_candidates(const score_batch& batch, const edge* candidates, std::size_t count,
-                      double* basic, double* lookahead, std::vector<std::int32_t>& ext_scratch);
+                      double* basic, double* lookahead);
 
 }  // namespace qubikos::router

@@ -59,6 +59,7 @@ routed_circuit route_tket_with_initial(const circuit& logical, const distance_pr
     int swaps_since_progress = 0;
     edge last_swap;
     std::vector<edge> candidates;  // reused across decision points
+    candidate_marks marks;
 
     const auto gate_distance_after = [&](int node, int pa, int pb) {
         const gate& g = dag.node_gate(node);
@@ -103,7 +104,7 @@ routed_circuit route_tket_with_initial(const circuit& logical, const distance_pr
         }
 
         const auto slices = upcoming_slices(dag, frontier, options.lookahead_slices);
-        candidate_swaps(frontier.front(), dag, dist, current, candidates);
+        candidate_swaps(frontier.front(), dag, dist, current, marks, candidates);
 
         double best_cost = std::numeric_limits<double>::infinity();
         edge best;
@@ -119,7 +120,9 @@ routed_circuit route_tket_with_initial(const circuit& logical, const distance_pr
                 }
                 weight *= options.slice_discount;
             }
-            if (cost < best_cost) {
+            // Candidates arrive unordered: the smaller edge wins a cost
+            // tie, i.e. the first minimum in ascending edge order.
+            if (cost < best_cost || (cost == best_cost && cand < best)) {
                 best_cost = cost;
                 best = cand;
                 found = true;

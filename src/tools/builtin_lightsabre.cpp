@@ -31,7 +31,7 @@ std::vector<option_spec> sabre_schema(int default_trials) {
          "swaps between decay resets (Qiskit 1.2 default 5)"},
         {"lookahead_decay", option_kind::real, 1.0,
          "geometric decay over extended-set positions; 1.0 = Qiskit's uniform "
-         "weighting, <1.0 = the Sec. IV-C proposed fix"},
+         "weighting, <1.0 = the Sec. IV-C proposed fix", 0.0, 1.0},
         {"bidirectional", option_kind::boolean, json::value(true),
          "forward/backward/forward initial-mapping refinement"},
         {"release_valve", option_kind::integer, 0,

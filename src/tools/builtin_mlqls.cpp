@@ -51,7 +51,7 @@ void register_builtin_mlqls() {
         {"routing_decay_reset_interval", option_kind::integer, 5,
          "decay reset interval of the final routing pass"},
         {"routing_lookahead_decay", option_kind::real, 1.0,
-         "extended-set position decay of the final routing pass"},
+         "extended-set position decay of the final routing pass", 0.0, 1.0},
         {"routing_release_valve", option_kind::integer, 0,
          "no-progress bound of the final routing pass (0 = auto)"},
     };

@@ -3,8 +3,16 @@
 // observer, lookahead decay) are exercised directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <set>
+#include <string>
+#include <string_view>
+
 #include "arch/architectures.hpp"
 #include "circuit/dag.hpp"
+#include "circuit/qasm.hpp"
 #include "core/qubikos.hpp"
 #include "core/queko.hpp"
 #include "router/common.hpp"
@@ -124,6 +132,11 @@ TEST(sabre, stats_and_observer) {
             ++observed;
             EXPECT_FALSE(d.front_nodes.empty());
             EXPECT_FALSE(d.scores.empty());
+            // Candidates reach the observer once each, in ascending edge
+            // order, whatever order the router scored them in.
+            for (std::size_t i = 1; i < d.scores.size(); ++i) {
+                EXPECT_LT(d.scores[i - 1].candidate, d.scores[i].candidate);
+            }
             // The chosen swap must be among the scored candidates, with
             // the minimal total.
             double best = 1e18;
@@ -160,6 +173,36 @@ TEST(sabre, lookahead_decay_produces_valid_routings) {
 TEST(sabre, rejects_bad_trials) {
     const distance_provider dist(arch::line(2).coupling);
     EXPECT_THROW((void)router::route_sabre(circuit(2), dist, {.trials = 0}), std::invalid_argument);
+}
+
+TEST(sabre, rejects_lookahead_decay_outside_unit_interval) {
+    // Outside [0, 1] (NaN included) is an error at every SABRE entry
+    // point, not a silent fallback to uniform weights.
+    const distance_provider dist(arch::line(3).coupling);
+    circuit logical(3);
+    logical.append(gate::cx(0, 2));
+    const mapping initial = mapping::identity(3, 3);
+    for (const double decay : {1.5, -0.1, std::nan("")}) {
+        router::sabre_options options;
+        options.lookahead_decay = decay;
+        EXPECT_THROW((void)router::route_sabre(logical, dist, options), std::invalid_argument)
+            << decay;
+        EXPECT_THROW((void)router::route_sabre_with_initial(logical, dist, initial, options),
+                     std::invalid_argument)
+            << decay;
+        EXPECT_THROW((void)router::sabre_final_mapping(logical, dist, initial, options),
+                     std::invalid_argument)
+            << decay;
+    }
+    for (const double decay : {0.0, 1.0}) {
+        router::sabre_options options;
+        options.lookahead_decay = decay;
+        EXPECT_TRUE(validate_routed(logical,
+                                    router::route_sabre_with_initial(logical, dist, initial,
+                                                                     options),
+                                    dist.coupling())
+                        .valid);
+    }
 }
 
 TEST(qmap, stats_reflect_layers) {
@@ -225,6 +268,57 @@ TEST(router_common, lookahead_set_respects_limit_and_order) {
     EXPECT_EQ(set2, (std::vector<int>{1, 3}));
     EXPECT_TRUE(frontier.lookahead_set(0).empty());
     EXPECT_EQ(frontier.lookahead_set(100).size(), 3u);
+
+    // The buffer-reusing variant resets only the `seen` entries it set;
+    // over a whole execution sequence (one buffer set, several limits,
+    // every frontier state) it must return exactly what the allocating
+    // one does and leave `seen` all-zero.
+    const circuit logical = random_circuit(12, 300, 41);
+    const gate_dag long_dag(logical);
+    frontier.reset(long_dag);
+    std::vector<int> out;
+    std::vector<char> seen;
+    std::vector<int> queue;
+    std::size_t states = 0;
+    while (!frontier.done()) {
+        for (const int limit : {1, 5, 20, 1000}) {
+            frontier.lookahead_set(limit, out, seen, queue);
+            EXPECT_EQ(out, frontier.lookahead_set(limit)) << "limit " << limit;
+            EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 0) << "limit " << limit;
+        }
+        frontier.execute(frontier.front().back());
+        ++states;
+    }
+    EXPECT_EQ(states, static_cast<std::size_t>(long_dag.num_nodes()));
+}
+
+TEST(router_common, candidate_swaps_emit_each_incident_edge_once) {
+    // The generator leaves its output unordered; as a set it must be every
+    // coupling edge touching a front-gate operand, each exactly once.
+    const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
+    const circuit logical = random_circuit(device.num_qubits(), 400, 19);
+    const gate_dag dag(logical);
+    router::dag_frontier frontier(dag);
+    rng random(3);
+    const mapping current = mapping::random(device.num_qubits(), device.num_qubits(), random);
+    router::candidate_marks marks;
+    std::vector<edge> out;
+    while (!frontier.done()) {
+        router::candidate_swaps(frontier.front(), dag, dist, current, marks, out);
+        std::set<edge> expected;
+        for (const int node : frontier.front()) {
+            const gate& g = dag.node_gate(node);
+            for (const int q : {g.q0, g.q1}) {
+                const int p = current.physical(q);
+                for (const int pn : device.coupling.neighbors(p)) expected.insert(edge(p, pn));
+            }
+        }
+        std::vector<edge> sorted = out;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, std::vector<edge>(expected.begin(), expected.end()));
+        frontier.execute(frontier.front().front());
+    }
 }
 
 TEST(router_common, greedy_placement_is_injective) {
@@ -309,6 +403,91 @@ TEST(distance_provider_routing, lazy_matches_dense_at_1_2_4_threads) {
                 << name << ": lazy emitted a different circuit at threads=" << threads;
         }
     }
+}
+
+// --- golden routed-output pins ------------------------------------------------
+//
+// Every other identity test here is relative (scalar vs dispatched, lazy vs
+// dense, 1 vs N threads): a rewrite of the decision loop that changed
+// decisions identically on both sides would pass all of them. These pins
+// are absolute: swap count plus an FNV-1a-64 fingerprint of the emitted
+// QASM and the initial mapping, recorded from the reference
+// implementation. They hold under every score backend and distance mode.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+std::uint64_t routed_fingerprint(const routed_circuit& routed) {
+    std::string text = qasm::write(routed.physical);
+    text += "initial:";
+    for (const int p : routed.initial.program_to_physical()) text += std::to_string(p) + ",";
+    return fnv1a(text);
+}
+
+core::benchmark_instance golden_instance(const arch::architecture& device, int swaps,
+                                         int gates, std::uint64_t seed) {
+    core::generator_options options;
+    options.num_swaps = swaps;
+    options.seed = seed;
+    options.total_two_qubit_gates = gates;
+    return core::generate(device, options);
+}
+
+struct golden_pin {
+    const char* label;
+    std::size_t swaps;
+    std::uint64_t fingerprint;
+};
+
+void expect_pin(const golden_pin& pin, const routed_circuit& routed) {
+    EXPECT_EQ(routed.swap_count(), pin.swaps) << pin.label;
+    EXPECT_EQ(routed_fingerprint(routed), pin.fingerprint)
+        << pin.label << ": fingerprint 0x" << std::hex << routed_fingerprint(routed);
+}
+
+TEST(golden_routes, lightsabre_on_three_devices_at_two_lookahead_decays) {
+    const std::vector<std::pair<const char*, int>> devices = {
+        {"aspen4", 150}, {"sycamore54", 300}, {"eagle127", 400}};
+    const std::vector<golden_pin> pins = {
+        {"aspen4 decay=1.0", 55, 0x08e051a9b897e52fULL},
+        {"aspen4 decay=0.5", 74, 0xa51ee80447545319ULL},
+        {"sycamore54 decay=1.0", 234, 0x29652747a30e2f38ULL},
+        {"sycamore54 decay=0.5", 313, 0xf08452f7b3850172ULL},
+        {"eagle127 decay=1.0", 1840, 0xbab0b8699a3342e3ULL},
+        {"eagle127 decay=0.5", 2207, 0x5f5339439bd72182ULL},
+    };
+    std::size_t next = 0;
+    for (const auto& [name, gates] : devices) {
+        const auto device = arch::by_name(name);
+        const auto instance = golden_instance(device, 6, gates, 31);
+        for (const double decay : {1.0, 0.5}) {
+            const auto tool = tools::make_tool(
+                "lightsabre", json::object{{"trials", 4}, {"lookahead_decay", decay}});
+            expect_pin(pins[next++], tool.run(instance.logical, device.coupling));
+        }
+    }
+}
+
+TEST(golden_routes, sabre_with_initial_tket_and_mlqls) {
+    const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
+    const auto instance = golden_instance(device, 5, 250, 47);
+    expect_pin({"sabre_with_initial", 5, 0x84af35c823047ce5ULL},
+               router::route_sabre_with_initial(instance.logical, dist,
+                                                instance.answer.initial));
+    expect_pin({"sabre_with_identity_initial", 403, 0x8e6311c02b41ea71ULL},
+               router::route_sabre_with_initial(
+                   instance.logical, dist,
+                   mapping::identity(instance.logical.num_qubits(), device.num_qubits())));
+    expect_pin({"tket", 264, 0x75318bd1fbc6721bULL}, tools::make_tool("tket").run(instance.logical, device.coupling));
+    expect_pin({"mlqls", 132, 0xe86ccb7ead6879daULL},
+               tools::make_tool("mlqls").run(instance.logical, device.coupling));
 }
 
 }  // namespace

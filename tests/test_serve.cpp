@@ -136,6 +136,9 @@ TEST(serve_request, malformed_requests_carry_structured_codes) {
          "\"options\":{\"trials\":true},\"generate\":{\"swaps\":1}}",
          "bad_option"},  // ill-typed option value
         {"{\"id\":\"x\",\"op\":\"route\",\"device\":\"grid3x3\",\"tool\":\"lightsabre\","
+         "\"options\":{\"lookahead_decay\":1.5},\"generate\":{\"swaps\":1}}",
+         "bad_option"},  // lookahead decay above 1
+        {"{\"id\":\"x\",\"op\":\"route\",\"device\":\"grid3x3\",\"tool\":\"lightsabre\","
          "\"generate\":{\"swaps\":1.5}}",
          "bad_request"},  // non-integer generator field
         {"{\"id\":\"x\",\"op\":\"route\",\"device\":\"grid3x3\",\"tool\":\"lightsabre\"}",

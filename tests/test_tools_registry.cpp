@@ -100,6 +100,16 @@ TEST(tools_registry, unknown_and_ill_typed_options_are_loud_errors) {
                  std::invalid_argument);
     EXPECT_THROW((void)tools::make_tool("sabre", json::object{{"lookahead_decay", -0.5}}),
                  std::invalid_argument);
+    // Lookahead decays above 1 are rejected, not routed as uniform weights.
+    EXPECT_THROW((void)tools::make_tool("sabre", json::object{{"lookahead_decay", 1.5}}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)tools::make_tool("lightsabre", json::object{{"lookahead_decay", 1.01}}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)tools::make_tool("mlqls", json::object{{"routing_lookahead_decay", 1.5}}),
+        std::invalid_argument);
+    EXPECT_NO_THROW(
+        (void)tools::make_tool("mlqls", json::object{{"routing_lookahead_decay", 0.0}}));
     EXPECT_THROW((void)tools::make_tool("lightsabre", json::object{{"trials", 3e9}}),
                  std::invalid_argument);
     EXPECT_NO_THROW(
