@@ -124,8 +124,8 @@ std::string read_line(int fd) {
 }
 
 /// Synchronous request/response loop: each round trip is one latency
-/// sample (includes queue wait — that is the service's latency, not an
-/// artifact to subtract).
+/// sample (includes any wait for busy cores — that is the service's
+/// latency, not an artifact to subtract).
 void client_loop(int fd, client_share& share) {
     share.responses.reserve(share.requests.size());
     share.latency_seconds.reserve(share.requests.size());

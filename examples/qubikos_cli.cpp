@@ -359,11 +359,6 @@ int cmd_serve(const arg_list& args) {
                     return usage_error("serve", "bad --max-line-bytes");
                 }
                 sopts.max_line_bytes = static_cast<std::size_t>(n);
-            } else if (arg == "--queue") {
-                if (!parse_int_arg(value(), n) || n < 1) {
-                    return usage_error("serve", "bad --queue");
-                }
-                sopts.max_queued_per_client = static_cast<std::size_t>(n);
             } else if (arg == "--cache-devices") {
                 if (!parse_int_arg(value(), n) || n < 1) {
                     return usage_error("serve", "bad --cache-devices");
@@ -384,8 +379,8 @@ int cmd_serve(const arg_list& args) {
 
     // Block the shutdown signals *before* the server spawns its threads
     // so every thread inherits the mask and sigwait below is the only
-    // consumer — the clean-shutdown path (stop() drains all queues) runs
-    // on ctrl-C and on `kill`.
+    // consumer — the clean-shutdown path (stop() answers every request
+    // already on the wire) runs on ctrl-C and on `kill`.
     sigset_t set;
     sigemptyset(&set);
     sigaddset(&set, SIGINT);
@@ -614,7 +609,7 @@ const std::vector<command>& command_table() {
         {"route", "<tool[:key=val,...]> <arch> <circuit.qasm> [trials] [--json] [--timing] [--emit-qasm]",
          "route one circuit with a registry tool", cmd_route},
         {"serve",
-         "(--socket <path> | --port <n>) [--max-line-bytes n] [--queue n] [--cache-devices n] [--no-cache]",
+         "(--socket <path> | --port <n>) [--max-line-bytes n] [--cache-devices n] [--no-cache]",
          "run the JSONL routing service until SIGINT/SIGTERM", cmd_serve},
         {"campaign init", "<spec.json> [--tool name[:key=val,...]]...",
          "write an example campaign spec", cmd_campaign_init},

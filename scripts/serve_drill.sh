@@ -10,11 +10,14 @@
 #   2. a served route response is byte-identical to `qubikos_cli route
 #      --json` run in-process on the same circuit (one code path,
 #      no daemon drift);
-#   3. the daemon is SIGKILLed mid-life; the stale socket it leaves
+#   3. a fast route sent on a second connection right behind a slow
+#      certify on the first comes back first (no request waits for
+#      another client's);
+#   4. the daemon is SIGKILLed mid-life; the stale socket it leaves
 #      behind does not block a restarted daemon, and the restarted
 #      daemon's responses are byte-identical to the first daemon's
 #      (the service is stateless and deterministic);
-#   4. clean SIGTERM shutdown prints the served-request summary.
+#   5. clean SIGTERM shutdown prints the served-request summary.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -157,6 +160,40 @@ s.close()
 assert served == direct, \
     f"served response drifted from the CLI:\n  served: {served}\n  direct: {direct}"
 print("served == direct")
+PY
+
+echo "--- a fast route behind another connection's slow certify comes back first"
+python3 - "$SOCK" <<'PY'
+import json
+import select
+import socket
+import sys
+
+sock_path = sys.argv[1]
+
+def connect():
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(sock_path)
+    return s
+
+# The certify takes about 0.2 s, the route about a millisecond.
+slow, fast = connect(), connect()
+slow.sendall((json.dumps({
+    "id": "slow", "op": "certify", "device": "aspen4",
+    "generate": {"swaps": 3, "gates": 60, "seed": 9}}) + "\n").encode())
+fast.sendall((json.dumps({
+    "id": "fast", "op": "route", "device": "grid3x3", "tool": "lightsabre",
+    "options": {"trials": 4}, "generate": {"swaps": 2, "gates": 20, "seed": 1}}) + "\n").encode())
+ready, _, _ = select.select([slow, fast], [], [], 60)
+assert ready == [fast], \
+    f"expected only the route to be answered, got {len(ready)} ready, slow ready: {slow in ready}"
+for name, s in (("fast", fast), ("slow", slow)):
+    doc = json.loads(s.makefile("r", encoding="utf-8").readline())
+    assert doc["ok"] is True and doc["id"] == name, f"bad {name} response: {doc}"
+    key = "legal" if name == "fast" else "confirmed"
+    assert doc[key] is True, f"{name}: {key} is not true: {doc}"
+    s.close()
+print("route answered before the certify")
 PY
 
 echo "--- SIGKILL mid-life; stale socket must not block a restart"

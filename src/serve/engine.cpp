@@ -51,40 +51,53 @@ std::shared_ptr<const engine::device_entry> engine::device_for(const std::string
     static const obs::metric_id hit = obs::counter("serve.context_hit");
     static const obs::metric_id miss = obs::counter("serve.context_miss");
     static const obs::metric_id evict = obs::counter("serve.context_evict");
-    if (options_.cache_contexts) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < lru_.size(); ++i) {
-            if (lru_[i].first == name) {
-                std::rotate(lru_.begin(), lru_.begin() + static_cast<std::ptrdiff_t>(i),
-                            lru_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-                ++stats_.hits;
-                obs::add(hit);
-                return lru_.front().second;
-            }
-        }
-    }
-    // Build outside the lock: a cold large-grid request must not stall
-    // concurrent requests for already-cached devices.
-    auto entry = build_device(name);
-    obs::add(miss);
     if (!options_.cache_contexts) {
+        auto entry = build_device(name);
+        obs::add(miss);
         const std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.misses;
         return entry;
     }
+    const auto find = [&] {
+        return std::find_if(lru_.begin(), lru_.end(),
+                            [&](const auto& slot) { return slot.first == name; });
+    };
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (auto it = find(); it != lru_.end(); it = find()) {
+            if (it->second != nullptr) {
+                std::rotate(lru_.begin(), it, it + 1);
+                ++stats_.hits;
+                obs::add(hit);
+                return lru_.front().second;
+            }
+            // Another request is building this device: wait for its
+            // entry instead of building a second one.
+            built_.wait(lock);
+        }
+        lru_.insert(lru_.begin(), {name, nullptr});  // claim the build
+    }
+    // Build outside the lock: a cold large-grid request must not stall
+    // concurrent requests for other devices.
+    std::shared_ptr<const device_entry> entry;
+    try {
+        entry = build_device(name);
+    } catch (...) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = find();
+        if (it != lru_.end() && it->second == nullptr) lru_.erase(it);
+        built_.notify_all();
+        throw;
+    }
+    obs::add(miss);
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.misses;
-    for (std::size_t i = 0; i < lru_.size(); ++i) {
-        if (lru_[i].first == name) {
-            // A concurrent miss published first; adopt its entry (one
-            // canonical context per device) and drop ours.
-            std::rotate(lru_.begin(), lru_.begin() + static_cast<std::ptrdiff_t>(i),
-                        lru_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-            return lru_.front().second;
-        }
-    }
-    lru_.insert(lru_.begin(), {name, entry});
-    if (lru_.size() > options_.max_cached_devices) {
+    const auto it = find();
+    if (it != lru_.end() && it->second == nullptr) it->second = entry;
+    built_.notify_all();
+    // Evict only once the entry is published, so a name that fails to
+    // resolve never displaces a cached device.
+    while (lru_.size() > options_.max_cached_devices) {
         lru_.pop_back();
         ++stats_.evictions;
         obs::add(evict);

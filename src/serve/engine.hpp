@@ -14,12 +14,14 @@
 // off, or thrashing.
 //
 // Thread-safety: route()/certify()/device_for() may be called from any
-// number of threads concurrently (the server dispatches batches onto the
-// shared pool). The cache mutex guards only the lookup; device
-// construction runs unlocked, so a cold request for one device never
-// stalls traffic on another.
+// number of threads concurrently (the server runs each connection's
+// requests on that connection's reader thread). The cache mutex guards
+// only the lookup; device construction runs unlocked, so a cold request
+// for one device never stalls traffic on another. Concurrent cold
+// requests for the same device build it once: the others wait for it.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -81,8 +83,10 @@ private:
     mutable std::mutex mutex_;
     /// Most-recently-used first. A vector, not a map: capacity is single
     /// digits, the scan is cheaper than any tree, and iteration order is
-    /// trivially deterministic (DET-001).
+    /// trivially deterministic (DET-001). A null entry is a device one
+    /// request is building; requests for it wait on built_.
     std::vector<std::pair<std::string, std::shared_ptr<const device_entry>>> lru_;
+    std::condition_variable built_;
     cache_stats stats_;
 };
 

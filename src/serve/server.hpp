@@ -1,31 +1,28 @@
 // JSONL socket server for the routing service.
 //
-// Transport + scheduling only — every byte of protocol semantics lives
-// in serve/request.*. The server owns:
+// Transport only — every byte of protocol semantics lives in
+// serve/request.*. The server owns:
 //
 //   accept thread      one per listening socket (unix or TCP loopback)
 //   reader threads     one per client: split the byte stream into lines,
-//                      enforce the max-line bound, push into the
-//                      client's bounded queue (blocking when full — the
-//                      stalled read is the backpressure signal; the
-//                      kernel socket buffer does the rest)
-//   dispatcher thread  gathers the pending requests of all clients into
-//                      a batch, fans the batch out over
-//                      thread_pool::shared() (slot machinery shared with
-//                      SABRE trials and the campaign worker — a serve
-//                      daemon and a routing hot loop contend for the
-//                      same pool instead of oversubscribing cores), then
-//                      writes responses back in batch order.
+//                      enforce the max-line bound, execute each complete
+//                      line and write its response before reading on
+//                      (and stop once a write to the client fails).
+//                      Requests of different clients run concurrently;
+//                      route trials still share thread_pool::shared().
 //
-// Ordering: within one client, responses always come back in request
-// order (queues are FIFO and the batch preserves per-client order);
-// across clients no order is promised. Requests of one batch execute
-// concurrently, which is safe because engine execution is stateless per
-// request (the context cache is internally synchronized).
+// Ordering: within one client, responses come back in request order
+// (one thread reads, executes and writes them in turn); across clients
+// no order is promised. Execution is stateless per request (the context
+// cache is internally synchronized), so concurrency never shows in a
+// response. No server-side queue exists: a client that stops reading
+// blocks only its own reader, in send(), and its socket buffers are the
+// backpressure.
 //
-// Shutdown (stop()): listeners close, client reads half-close, queued
-// requests drain and their responses flush before sockets close — a
-// client that stops sending always gets every answer it paid for.
+// Shutdown (stop()): listeners close, client reads half-close, each
+// reader answers what is already on the wire and closes its socket —
+// a client that stops sending always gets every answer it paid for.
+// A client that never reads its responses keeps stop() waiting.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +39,6 @@ struct server_options {
     /// Reject (and answer with an oversized_line envelope) any request
     /// line longer than this many bytes.
     std::size_t max_line_bytes = 1u << 20;
-    /// Bounded per-client queue depth; a reader blocks when its client
-    /// has this many requests pending.
-    std::size_t max_queued_per_client = 64;
-    /// Cap on concurrent request execution within one batch; 0 = the
-    /// shared pool's size.
-    std::size_t max_batch_workers = 0;
 };
 
 class server {
@@ -71,8 +62,8 @@ public:
     /// socketpair) as a client. The server owns the fd from here on.
     void add_client(int fd);
 
-    /// Stops accepting, half-closes client reads, drains every queued
-    /// request, flushes responses, closes sockets and joins all threads.
+    /// Stops accepting, half-closes client reads, answers every request
+    /// already on the wire, closes sockets and joins all threads.
     /// Idempotent; also run by the destructor.
     void stop();
 

@@ -10,20 +10,24 @@
 //     cached, cold, or evicting) and caches by identity (same
 //     shared_ptr on a hit);
 //   - concurrent clients each get their own responses, in their own
-//     request order;
+//     request order, and neither a slow request nor a client that stops
+//     reading holds up another client's answer;
 //   - stop() drains: every request a client got onto the wire before
 //     shutdown is answered.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "circuit/qasm.hpp"
 #include "core/qubikos.hpp"
+#include "obs/obs.hpp"
 #include "serve/engine.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
@@ -43,9 +47,7 @@ public:
         srv.add_client(fds[1]);
     }
 
-    ~test_client() {
-        if (fd_ >= 0) ::close(fd_);
-    }
+    ~test_client() { close(); }
 
     void send_line(const std::string& line) {
         const std::string framed = line + "\n";
@@ -70,6 +72,28 @@ public:
     }
 
     void half_close() { ::shutdown(fd_, SHUT_WR); }
+
+    /// True once a response byte can be read within `timeout_ms`.
+    bool readable_within(int timeout_ms) const {
+        pollfd p{fd_, POLLIN, 0};
+        return ::poll(&p, 1, timeout_ms) > 0;
+    }
+
+    /// Writes request lines without blocking until the socket is full
+    /// or `count` lines are sent; never reads. Returns the lines sent.
+    int flood(const std::string& line, int count) {
+        const std::string framed = line + "\n";
+        for (int i = 0; i < count; ++i) {
+            const ssize_t n = ::send(fd_, framed.data(), framed.size(), MSG_DONTWAIT);
+            if (n != static_cast<ssize_t>(framed.size())) return i;
+        }
+        return count;
+    }
+
+    void close() {
+        if (fd_ >= 0) ::close(fd_);
+        fd_ = -1;
+    }
 
 private:
     int fd_ = -1;
@@ -263,6 +287,46 @@ TEST(serve_engine, context_cache_hits_by_identity_and_evicts_lru) {
     EXPECT_EQ(stats.evictions, 2u);
 }
 
+TEST(serve_engine, concurrent_cold_requests_build_a_device_once) {
+    serve::engine eng;
+    constexpr int kThreads = 4;
+    std::vector<std::shared_ptr<const serve::engine::device_entry>> got(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load()) std::this_thread::yield();
+            got[static_cast<std::size_t>(t)] = eng.device_for("grid20x20");
+        });
+    }
+    go.store(true);
+    for (auto& t : threads) t.join();
+    for (const auto& entry : got) EXPECT_EQ(entry.get(), got[0].get());
+    const auto stats = eng.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(serve_engine, unknown_device_is_neither_cached_nor_evicts) {
+    serve::engine_options options;
+    options.max_cached_devices = 1;
+    serve::engine eng(options);
+    const auto cached = eng.device_for("grid3x3");
+    for (int i = 0; i < 2; ++i) {
+        try {
+            (void)eng.device_for("gridzzz");
+            ADD_FAILURE() << "unknown device resolved";
+        } catch (const serve::request_error& e) {
+            EXPECT_EQ(e.code(), serve::error_code::unknown_device);
+        }
+    }
+    EXPECT_EQ(eng.device_for("grid3x3").get(), cached.get());
+    const auto stats = eng.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.evictions, 0u);
+}
+
 TEST(serve_engine, responses_identical_with_cache_on_and_off) {
     serve::engine cached;
     serve::engine_options cold_options;
@@ -290,8 +354,11 @@ TEST(serve_server, round_trips_requests_and_rejects_oversized_lines) {
     client.send_line(line);
     EXPECT_EQ(client.read_line(), serve::handle_line(eng, line));
 
+    // The envelope the server builds itself counts as an error too.
+    const std::uint64_t errors_before = obs::collect().value("serve.errors");
     client.send_line(std::string(5000, 'x'));
     EXPECT_EQ(error_code_of(client.read_line()), "oversized_line");
+    EXPECT_EQ(obs::collect().value("serve.errors") - errors_before, 1u);
 
     // The connection survived the oversized line; framing is intact.
     client.send_line(line);
@@ -341,6 +408,50 @@ TEST(serve_server, concurrent_clients_get_ordered_matching_responses) {
     for (auto& t : threads) t.join();
     for (int c = 0; c < kClients; ++c) EXPECT_EQ(mismatches[static_cast<std::size_t>(c)], 0);
     EXPECT_EQ(srv.requests_served(), static_cast<std::uint64_t>(kClients * kRequests));
+}
+
+TEST(serve_server, client_that_stops_reading_does_not_stall_others) {
+    serve::engine eng;
+    serve::server srv(eng);
+    test_client flooder(srv);
+    test_client other(srv);
+
+    // Each tools response is the whole registry document, so a client
+    // that never reads fills its socket buffers after a few dozen.
+    const int sent = flooder.flood("{\"id\":\"t\",\"op\":\"tools\"}", 2000);
+    EXPECT_GT(sent, 100);
+
+    const std::string line = route_line("d", "grid3x3", 3);
+    other.send_line(line);
+    const bool answered = other.readable_within(5000);
+    EXPECT_TRUE(answered) << "a client that stops reading stalled another client";
+    if (answered) EXPECT_EQ(other.read_line(), serve::handle_line(eng, line));
+
+    // Closing the flooder fails its pending writes, so teardown ends.
+    flooder.close();
+}
+
+TEST(serve_server, fast_request_is_not_held_behind_slow_one) {
+    serve::engine eng;
+    serve::server srv(eng);
+    test_client slow(srv);
+    test_client fast(srv);
+
+    // The exact certify takes about 0.2 s, the route about a millisecond.
+    const std::string certify =
+        "{\"id\":\"a\",\"op\":\"certify\",\"device\":\"aspen4\","
+        "\"generate\":{\"swaps\":3,\"gates\":60,\"seed\":9}}";
+    const std::string route = route_line("b", "grid3x3", 4);
+    const std::string expected_route = serve::handle_line(eng, route);
+    slow.send_line(certify);
+    fast.send_line(route);
+
+    ASSERT_TRUE(fast.readable_within(30000));
+    EXPECT_FALSE(slow.readable_within(0)) << "the route waited for the certify";
+    EXPECT_EQ(fast.read_line(), expected_route);
+    const auto doc = json::parse(slow.read_line());
+    EXPECT_TRUE(doc.at("ok").as_bool());
+    EXPECT_TRUE(doc.at("confirmed").as_bool());
 }
 
 TEST(serve_server, stop_drains_queued_requests_before_closing) {
