@@ -506,55 +506,6 @@ TEST(campaign_merge, v3_variant_campaign_runs_and_reports_under_labels) {
     EXPECT_NE(rendered.find("ls1"), std::string::npos);
 }
 
-TEST(campaign_merge, portfolio_variant_is_campaign_usable_with_stable_unit_ids) {
-    // The portfolio scheduler rides the ordinary spec-v3 variant path: a
-    // labeled lightsabre variant with portfolio.* overrides gets
-    // label-stable unit IDs and stores results identical to the direct
-    // portfolio router call.
-    campaign::campaign_spec spec;
-    spec.name = "portfolio_test";
-    spec.tools = {campaign::tool_variant(
-        "lightsabre",
-        json::value(json::object{
-            {"trials", 12}, {"portfolio", true}, {"portfolio.wave", 4}}),
-        "ls-portfolio")};
-    core::suite_spec suite;
-    suite.arch_name = "grid3x3";
-    suite.swap_counts = {2};
-    suite.circuits_per_count = 2;
-    suite.total_two_qubit_gates = 25;
-    suite.base_seed = 5;
-    spec.suites.push_back(suite);
-
-    const auto plan = campaign::expand_plan(spec);
-    ASSERT_EQ(plan.units.size(), 2u);
-    EXPECT_EQ(plan.units[0].id, "u0:grid3x3:n2:i0:seed5:ls-portfolio");
-    EXPECT_EQ(plan.units[1].id, "u0:grid3x3:n2:i1:seed6:ls-portfolio");
-
-    const std::string dir = scratch_dir("v3_portfolio");
-    const auto report = campaign::run_campaign_shard(plan, dir, {});
-    EXPECT_EQ(report.failed_attempts, 0u);
-    EXPECT_EQ(report.invalid_runs, 0);
-    const auto merged = campaign::merge_stores(plan, {dir});
-    ASSERT_TRUE(merged.complete());
-
-    const auto device = arch::by_name("grid3x3");
-    const distance_provider dist(device.coupling);
-    const auto s = core::generate_suite(device, suite);
-    router::sabre_options options;
-    options.trials = 12;
-    options.portfolio = true;
-    options.portfolio_wave = 4;
-    options.seed = spec.toolbox_seed;
-    for (std::size_t i = 0; i < merged.runs.size(); ++i) {
-        const auto& unit = plan.units[i];
-        const auto direct = router::route_sabre(s.instances[unit.instance_index].logical,
-                                                dist, options);
-        EXPECT_EQ(merged.runs[i].record.tool, "ls-portfolio");
-        EXPECT_EQ(merged.runs[i].record.measured_swaps, direct.swap_count()) << unit.id;
-    }
-}
-
 TEST(campaign_plan, family_units_get_tagged_ids_and_claimed_counts) {
     campaign::campaign_spec spec;
     spec.mode = campaign::campaign_mode::certify;
