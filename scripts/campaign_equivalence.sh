@@ -15,7 +15,7 @@
 #      cleared, and the drained report is byte-identical to the
 #      reference again;
 #   7. two-machine sync drill: each "machine" runs its shard into its own
-#      segmented store (tiny segment size to force rotation), one is
+#      store (one record file per writer, no head manifest), one is
 #      killed mid-run, `campaign sync` collects both — torn tail and all —
 #      the killed machine resumes, a re-sync picks up only grown/new
 #      segments, a further re-sync is a no-op, and the merged report is
@@ -116,15 +116,16 @@ diff "$WORK/ref_report.txt" "$WORK/faulty_report.txt"
 echo "OK: quarantine + retry leaves the report byte-identical to the fault-free reference"
 
 echo "--- two-machine sync drill: disjoint shards on separate stores, one killed"
-# A tiny rotation threshold forces every store through several sealed
-# segments, so the drill covers rotation + heads, not just one file.
-export QUBIKOS_CAMPAIGN_SEGMENT_BYTES=400
 "$CLI" campaign run "$WORK/spec.json" "$WORK/m0" --shard 0/2
 "$CLI" campaign run "$WORK/spec.json" "$WORK/m1" --shard 1/2 --max-units 3
 M1_OPEN=$(ls "$WORK/m1"/runs-1-*.jsonl | sort | tail -1)
 printf '{"unit_id": "torn-by-crash' >> "$M1_OPEN"
 ls "$WORK/m0"/runs-0-*.jsonl | sed 's/^/  m0 /'
 ls "$WORK/m1"/runs-1-*.jsonl | sed 's/^/  m1 /'
+if compgen -G "$WORK/m[01]/head-*.json" > /dev/null; then
+  echo "error: a writer must append to one record file and write no head manifest" >&2
+  exit 1
+fi
 
 echo "--- sync the incomplete fleet (torn tail rides along on the newest segment)"
 "$CLI" campaign sync "$WORK/collect" "$WORK/m0" "$WORK/m1" | tee "$WORK/sync1.txt"
@@ -151,7 +152,6 @@ diff "$WORK/ref_report.txt" "$WORK/synced_report.txt"
 # The collection itself is also a readable store: report straight off it.
 "$CLI" campaign report "$WORK/spec.json" "$WORK/collect" > "$WORK/collect_report.txt"
 diff "$WORK/ref_report.txt" "$WORK/collect_report.txt"
-unset QUBIKOS_CAMPAIGN_SEGMENT_BYTES
 echo "OK: two-machine sync + merge is byte-identical to the single-process reference"
 
 echo "--- tool-variant drill: spec v3 with an overridden registry variant"

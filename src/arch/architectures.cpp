@@ -1,6 +1,10 @@
 #include "arch/architectures.hpp"
 
+#include <charconv>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace qubikos::arch {
 
@@ -21,6 +25,9 @@ architecture ring(int n) {
 
 architecture grid(int rows, int cols) {
     if (rows < 1 || cols < 1) throw std::invalid_argument("arch::grid: empty grid");
+    if (rows > std::numeric_limits<int>::max() / cols) {
+        throw std::invalid_argument("arch::grid: rows * cols overflows int");
+    }
     graph g(rows * cols);
     const auto id = [cols](int r, int c) { return r * cols + c; };
     for (int r = 0; r < rows; ++r) {
@@ -190,6 +197,39 @@ std::vector<architecture> paper_platforms() {
     return out;
 }
 
+namespace {
+
+/// The whole of `field` as a decimal int; nullopt for an empty field,
+/// trailing junk or overflow.
+std::optional<int> parse_size(std::string_view field) {
+    int value = 0;
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return value;
+}
+
+/// line<n>, ring<n> and grid<r>x<c>; nullopt when a size does not parse.
+std::optional<architecture> parametric(std::string_view name) {
+    if (name.size() < 4) return std::nullopt;
+    const std::string_view kind = name.substr(0, 4);
+    const std::string_view size = name.substr(4);
+    if (kind == "line") {
+        if (const auto n = parse_size(size)) return line(*n);
+    } else if (kind == "ring") {
+        if (const auto n = parse_size(size)) return ring(*n);
+    } else if (kind == "grid") {
+        const std::size_t x = size.find('x');
+        if (x == std::string_view::npos) return std::nullopt;
+        const auto rows = parse_size(size.substr(0, x));
+        const auto cols = parse_size(size.substr(x + 1));
+        if (rows && cols) return grid(*rows, *cols);
+    }
+    return std::nullopt;
+}
+
+}  // namespace
+
 architecture by_name(const std::string& name) {
     if (name == "aspen4") return aspen4();
     if (name == "sycamore54") return sycamore54();
@@ -197,14 +237,10 @@ architecture by_name(const std::string& name) {
     if (name == "eagle127") return eagle127();
     if (name == "tokyo20") return tokyo20();
     if (name == "guadalupe16") return guadalupe16();
-    if (name.rfind("line", 0) == 0) return line(std::stoi(name.substr(4)));
-    if (name.rfind("ring", 0) == 0) return ring(std::stoi(name.substr(4)));
-    if (name.rfind("grid", 0) == 0) {
-        const auto x = name.find('x');
-        if (x != std::string::npos) {
-            return grid(std::stoi(name.substr(4, x - 4)), std::stoi(name.substr(x + 1)));
-        }
-    }
+    // Only the canonical spelling resolves: "line07" must not alias
+    // line7 under a second cache key.
+    std::optional<architecture> found = parametric(name);
+    if (found && found->name == name) return std::move(*found);
     throw std::invalid_argument("arch::by_name: unknown architecture '" + name + "'");
 }
 

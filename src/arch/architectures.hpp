@@ -52,7 +52,8 @@ struct architecture {
 [[nodiscard]] std::vector<architecture> paper_platforms();
 
 /// Lookup by name ("aspen4", "sycamore54", "rochester53", "eagle127",
-/// "grid3x3", ...); throws std::invalid_argument on unknown names.
+/// "grid3x3", ...); throws std::invalid_argument on unknown names and on
+/// any name that is not exactly the canonical one (by_name(s).name == s).
 [[nodiscard]] architecture by_name(const std::string& name);
 [[nodiscard]] std::vector<std::string> known_names();
 

@@ -57,8 +57,8 @@ struct merged_campaign {
                                            const std::vector<std::string>& store_dirs);
 
 /// Writes a merged result back out as a normal single store (meta.json +
-/// writer-0 segments in plan order), usable by report/resume like any
-/// other.
+/// writer 0's one record file, in plan order), usable by report/resume
+/// like any other.
 void write_merged_store(const merged_campaign& merged, const campaign_spec& spec,
                         const std::string& directory);
 

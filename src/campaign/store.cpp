@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-
-#include "util/check.hpp"
 
 #if defined(_WIN32)
 #include <io.h>
@@ -20,22 +19,6 @@
 namespace qubikos::campaign {
 
 namespace {
-
-constexpr std::uint64_t fnv_offset = 0xcbf29ce484222325ULL;
-
-std::uint64_t fnv1a(std::uint64_t state, const char* data, std::size_t size) {
-    for (std::size_t i = 0; i < size; ++i) {
-        state ^= static_cast<unsigned char>(data[i]);
-        state *= 0x100000001b3ULL;
-    }
-    return state;
-}
-
-std::string fnv_hex(std::uint64_t hash) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(hash));
-    return buf;
-}
 
 void fsync_file(std::FILE* file) {
 #if defined(_WIN32)
@@ -80,40 +63,10 @@ std::size_t parse_runs(const std::string& content, const std::string& path,
     return valid_end;
 }
 
-/// Manifest the writer is about to publish: every sealed entry must be
-/// one of this writer's own segments, strictly before the open seq, with
-/// no duplicate names. Contract-scan material — a head violating this
-/// would poison every later open, sync and merge of the store.
-[[maybe_unused]] bool manifest_consistent(const std::vector<sealed_segment>& sealed, int writer,
-                                          long open_seq) {
-    for (std::size_t i = 0; i < sealed.size(); ++i) {
-        int seg_writer = 0;
-        long seg_seq = 0;
-        if (!parse_segment_file_name(sealed[i].file, seg_writer, seg_seq)) return false;
-        if (seg_writer != writer || seg_seq >= open_seq) return false;
-        for (std::size_t j = i + 1; j < sealed.size(); ++j) {
-            if (sealed[j].file == sealed[i].file) return false;
-        }
-    }
-    return true;
-}
-
 /// All digits (and nonempty)?
 bool all_digits(std::string_view s) {
     if (s.empty()) return false;
     return std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
-}
-
-std::size_t resolve_segment_bytes(std::size_t requested) {
-    if (requested > 0) return requested;
-    if (const char* env = std::getenv("QUBIKOS_CAMPAIGN_SEGMENT_BYTES")) {
-        char* end = nullptr;
-        const unsigned long long value = std::strtoull(env, &end, 10);
-        if (end != nullptr && *end == '\0' && value > 0) {
-            return static_cast<std::size_t>(value);
-        }
-    }
-    return std::size_t{8} << 20;  // 8 MiB
 }
 
 /// One record file of a store, parsed. `content` (the raw bytes) is
@@ -137,9 +90,9 @@ struct loaded_file {
 /// replay and load_runs both go through it.
 ///
 /// Heads are snapshotted BEFORE the segment bytes are read: a live
-/// writer can seal a segment between the two reads, and a head claiming
-/// more bytes than an earlier segment snapshot holds would look like
-/// corruption. The stale direction is always safe — an old head's sealed
+/// writer of an earlier build can seal a segment between the two reads,
+/// and a head claiming more bytes than an earlier segment snapshot holds
+/// would look like corruption. The stale direction is always safe — an old head's sealed
 /// claims are immutable facts about bytes every later read will see —
 /// which is what keeps `campaign status` (and sync pulls) safe against
 /// stores that are actively being written.
@@ -308,29 +261,19 @@ bool parse_head_file_name(const std::string& name, int& writer) {
 }
 
 std::string content_fingerprint(const std::string& bytes) {
-    return fnv_hex(fnv1a(fnv_offset, bytes.data(), bytes.size()));
+    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a-64
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(hash));
+    return buf;
 }
 
 std::size_t valid_record_prefix(const std::string& content) {
     std::vector<stored_run> discard;
     return parse_runs(content, "<buffer>", discard);
-}
-
-json::value head_to_json(const writer_head& head) {
-    json::object o;
-    o["schema"] = "qubikos.campaign_head.v1";
-    o["writer"] = head.writer;
-    o["open_seq"] = static_cast<std::int64_t>(head.open_seq);
-    json::array sealed;
-    for (const auto& s : head.sealed) {
-        json::object e;
-        e["file"] = s.file;
-        e["bytes"] = s.bytes;
-        e["fingerprint"] = s.fingerprint;
-        sealed.push_back(json::value(std::move(e)));
-    }
-    o["sealed"] = std::move(sealed);
-    return json::value(std::move(o));
 }
 
 writer_head head_from_json(const json::value& v) {
@@ -417,14 +360,11 @@ void atomic_write_file(const std::filesystem::path& path, const std::string& byt
 
 // --- result_store -----------------------------------------------------------
 
-result_store::result_store(const std::string& directory, const campaign_spec& spec,
-                           const store_options& options)
+result_store::result_store(const std::string& directory, const campaign_spec& spec, int writer)
     : directory_(directory) {
-    if (options.writer < 0) {
+    if (writer < 0) {
         throw std::invalid_argument("campaign: store writer id must be >= 0");
     }
-    writer_ = options.writer;
-    segment_bytes_ = resolve_segment_bytes(options.segment_bytes);
 
     const std::filesystem::path dir(directory);
     std::filesystem::create_directories(dir);
@@ -460,89 +400,48 @@ result_store::result_store(const std::string& directory, const campaign_spec& sp
     const bool has_segments =
         std::any_of(files.begin(), files.end(),
                     [](const loaded_file& f) { return f.info.writer >= 0; });
-    const bool has_legacy =
-        std::any_of(files.begin(), files.end(),
-                    [](const loaded_file& f) { return f.info.writer < 0; });
 
-    // A lone runs.jsonl is a v1 store: keep appending to it so v1 stores
-    // resume byte-for-byte as they always did. Everything else (fresh
-    // store, segmented store, or a synced mix) appends to this writer's
-    // segments, leaving any legacy file read-only.
-    legacy_mode_ = has_legacy && !has_segments;
-    if (legacy_mode_) {
-        const loaded_file& legacy = files.front();
-        runs_path_ = (dir / "runs.jsonl").string();
-        // Truncate a torn tail so the next append starts on a clean line.
-        if (legacy.valid_end < legacy.content.size()) {
-            std::filesystem::resize_file(runs_path_, legacy.valid_end);
+    // Pick the one file this writer appends to. A lone runs.jsonl is a v1
+    // store and keeps growing, so v1 stores resume byte-for-byte as they
+    // always did. Otherwise (fresh store, segmented store, or a synced
+    // mix, whose legacy file stays read-only) it is the writer's newest
+    // segment, or seq 0. Stores from builds that rotated segments may
+    // carry a head-<writer>.json whose open_seq names a segment past the
+    // newest one (a crash between sealing and opening the next). Every
+    // segment a head lists as sealed lies below its open_seq, so it is
+    // never appended to again.
+    const loaded_file* reopen = nullptr;
+    std::string name = "runs.jsonl";
+    if (!has_segments && !files.empty()) {
+        reopen = &files.front();
+    } else {
+        const loaded_file* newest = nullptr;
+        for (const auto& file : files) {
+            if (file.info.writer == writer) newest = &file;
         }
-        file_ = std::fopen(runs_path_.c_str(), "ab");
-        if (file_ == nullptr) {
-            throw std::runtime_error("campaign: cannot open " + runs_path_ + " for appending");
+        long seq = newest == nullptr ? 0 : newest->info.seq;
+        writer_head head;
+        if (load_writer_head(directory, writer, head)) seq = std::max(seq, head.open_seq);
+        name = segment_file_name(writer, seq);
+        if (newest != nullptr && newest->info.seq == seq) reopen = newest;
+    }
+
+    runs_path_ = (dir / name).string();
+    if (reopen != nullptr) {
+        // Truncate a torn tail so the next append starts on a clean line.
+        if (reopen->valid_end < reopen->content.size()) {
+            std::filesystem::resize_file(runs_path_, reopen->valid_end);
         }
         // An intact final record without its newline (externally edited
         // file) would otherwise concatenate with the next append.
-        if (legacy.valid_end > 0 && legacy.content[legacy.valid_end - 1] != '\n') {
+        if (reopen->valid_end > 0 && reopen->content[reopen->valid_end - 1] != '\n') {
             buffer_ += '\n';
         }
-        return;
     }
-
-    // v2: find this writer's segments and decide which seq to open. A
-    // head whose open_seq is past every existing segment marks a crash
-    // between sealing and opening the next file; a newest segment the
-    // head lists as sealed marks one between head write and fopen. Both
-    // resume by opening the next (fresh) seq.
-    std::vector<const loaded_file*> own;
-    for (const auto& file : files) {
-        if (file.info.writer == writer_) own.push_back(&file);
+    file_ = std::fopen(runs_path_.c_str(), "ab");
+    if (file_ == nullptr) {
+        throw std::runtime_error("campaign: cannot open " + runs_path_ + " for appending");
     }
-    writer_head head;
-    const bool have_head = load_writer_head(directory, writer_, head);
-
-    long open_seq = 0;
-    const loaded_file* reopen = nullptr;
-    if (!own.empty()) {
-        const loaded_file* newest = own.back();
-        const bool newest_sealed =
-            have_head &&
-            std::any_of(head.sealed.begin(), head.sealed.end(), [&](const sealed_segment& s) {
-                return s.file == newest->info.name;
-            });
-        if (have_head && head.open_seq > newest->info.seq) {
-            open_seq = head.open_seq;
-        } else if (newest_sealed) {
-            open_seq = newest->info.seq + 1;
-        } else {
-            open_seq = newest->info.seq;
-            reopen = newest;
-        }
-    } else if (have_head) {
-        open_seq = head.open_seq;
-    }
-
-    // Rebuild this writer's sealed list from the verified on-disk bytes
-    // (self-healing: a lost or stale head is regenerated here).
-    for (const loaded_file* file : own) {
-        if (file->info.seq >= open_seq) continue;
-        sealed_.push_back({file->info.name, file->size, file->fingerprint});
-    }
-
-    if (reopen != nullptr) {
-        const std::filesystem::path path = dir / reopen->info.name;
-        if (reopen->valid_end < reopen->content.size()) {
-            std::filesystem::resize_file(path, reopen->valid_end);
-        }
-        const bool needs_newline =
-            reopen->valid_end > 0 && reopen->content[reopen->valid_end - 1] != '\n';
-        open_segment(open_seq, reopen->valid_end,
-                     fnv1a(fnv_offset, reopen->content.data(), reopen->valid_end),
-                     needs_newline);
-    } else {
-        open_segment(open_seq, 0, fnv_offset, false);
-    }
-    write_head();
-    if (current_bytes_ >= segment_bytes_) seal_and_rotate();
 }
 
 result_store::~result_store() {
@@ -553,50 +452,6 @@ result_store::~result_store() {
         }
         std::fclose(file_);
     }
-}
-
-void result_store::open_segment(long seq, std::size_t resume_bytes, std::uint64_t resume_hash,
-                                bool needs_newline) {
-    // A fresh segment starts from the FNV offset basis; only a reopened
-    // torn tail may carry bytes (and then must carry their hash).
-    QUBIKOS_ASSERT(resume_bytes > 0 || resume_hash == fnv_offset);
-    open_seq_ = seq;
-    runs_path_ =
-        (std::filesystem::path(directory_) / segment_file_name(writer_, seq)).string();
-    file_ = std::fopen(runs_path_.c_str(), "ab");
-    if (file_ == nullptr) {
-        throw std::runtime_error("campaign: cannot open " + runs_path_ + " for appending");
-    }
-    current_bytes_ = resume_bytes;
-    current_hash_ = resume_hash;
-    if (needs_newline) buffer_ += '\n';
-}
-
-void result_store::seal_and_rotate() {
-    QUBIKOS_ASSERT(file_ != nullptr && !legacy_mode_);
-    std::fclose(file_);
-    file_ = nullptr;
-    sealed_.push_back(
-        {segment_file_name(writer_, open_seq_), current_bytes_, fnv_hex(current_hash_)});
-    // The head records the seal and the next open seq in one atomic
-    // replace; a crash on either side of it reopens consistently (see
-    // the constructor's open-seq decision).
-    open_seq_ += 1;
-    write_head();
-    open_segment(open_seq_, 0, fnv_offset, false);
-}
-
-void result_store::write_head() const {
-    QUBIKOS_CHECK_MSG(manifest_consistent(sealed_, writer_, open_seq_),
-                      "writer " << writer_ << " about to publish a head manifest whose sealed "
-                                << "list disagrees with its own segments (open seq " << open_seq_
-                                << ", " << sealed_.size() << " sealed)");
-    writer_head head;
-    head.writer = writer_;
-    head.open_seq = open_seq_;
-    head.sealed = sealed_;
-    atomic_write_file(std::filesystem::path(directory_) / head_file_name(writer_),
-                      head_to_json(head).dump(2) + "\n");
 }
 
 void result_store::note(const stored_run& run) {
@@ -625,8 +480,6 @@ void result_store::flush() {
     // repeated failure is a torn tail, which reopen recovers from, never
     // a duplicated prefix mid-file, which it cannot.
     const std::size_t written = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
-    current_hash_ = fnv1a(current_hash_, buffer_.data(), written);
-    current_bytes_ += written;
     buffer_.erase(0, written);
     if (!buffer_.empty()) {
         throw std::runtime_error("campaign: short write to " + runs_path_);
@@ -635,7 +488,6 @@ void result_store::flush() {
         throw std::runtime_error("campaign: flush failed for " + runs_path_);
     }
     fsync_file(file_);
-    if (!legacy_mode_ && current_bytes_ >= segment_bytes_) seal_and_rotate();
 }
 
 std::vector<stored_run> result_store::load_runs(const std::string& directory) {

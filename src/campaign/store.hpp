@@ -1,39 +1,38 @@
 // Persistent result store: append-only JSON-lines with crash tolerance.
 //
-// On disk a store is a directory. Layout v2 (segmented, the default for
-// new stores) is built for multi-machine collection:
+// On disk a store is a directory:
 //   meta.json                 - spec snapshot + fingerprint (written once)
-//   runs-<writer>-<seq>.jsonl - record segments; <writer> is the shard id
-//                               of the process that wrote them, <seq> a
-//                               rotation counter. Only the highest-seq
-//                               segment of a writer is ever open for
-//                               appending; lower-seq segments are sealed
-//                               and immutable.
-//   head-<writer>.json        - tiny per-writer manifest, atomically
-//                               replaced (temp + fsync + rename): which
-//                               segment is open and the byte length +
-//                               content fingerprint of every sealed one.
+//   runs-<writer>-<seq>.jsonl - record files; <writer> is the shard id of
+//                               the process that wrote them. A writer
+//                               appends to exactly one file, forever: its
+//                               newest segment, or runs-<writer>-000000
+//                               in a fresh store. Writers of different
+//                               ids can share one directory safely.
 // Layout v1 is the same directory with a single runs.jsonl. A v1 store
-// opened for appending keeps appending to runs.jsonl — its bytes, and
-// therefore its crash-recovery story, are untouched by v2. The read path
-// accepts both layouts (and their mix, which `campaign sync` can produce
-// when collecting from v1 and v2 machines).
+// opened for appending keeps appending to runs.jsonl, so its bytes and
+// its crash-recovery story are unchanged. The read path accepts both
+// layouts and their mix, which `campaign sync` can produce when it
+// collects from several machines.
+//
+// Stores written by earlier builds may hold several segments per writer
+// plus a head-<writer>.json manifest: the segment that writer had open
+// and the byte length + content fingerprint of every segment it sealed.
+// Nothing writes a head any more, but the read path still verifies every
+// sealed segment a head names on every load, and a resumed writer never
+// appends to a segment its head lists as sealed.
 //
 // The write path buffers records and flushes them in batches: each flush
 // fwrites the buffered lines, fflushes and fsyncs, so a crash loses at
 // most one unsynced batch and can tear at most the final line of the
-// writer's open segment. The read path tolerates exactly that failure
-// mode — an unparseable *final* line of the newest segment of a writer
-// (or of the legacy runs.jsonl) is discarded; a torn or corrupt sealed
-// segment is a hard error, as is garbage anywhere but the tail. Sealed
-// segments named by a head manifest are verified against their recorded
-// byte length and fingerprint on every load.
+// writer's file. The read path tolerates exactly that failure mode: an
+// unparseable *final* line of the newest file of a writer (or of the
+// legacy runs.jsonl) is discarded. A torn or corrupt older segment is a
+// hard error, as is garbage anywhere but the tail.
 //
 // Opening a store checks the spec fingerprint in meta.json, so results
 // from different experiments can never silently mix in one store.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -109,8 +108,8 @@ struct unit_status {
 [[nodiscard]] std::string head_file_name(int writer);
 [[nodiscard]] bool parse_head_file_name(const std::string& name, int& writer);
 
-/// FNV-1a-64 hex fingerprint of raw bytes — the content address `sync`
-/// and the head manifests use to recognize identical / grown segments.
+/// FNV-1a-64 hex fingerprint of raw bytes, as recorded for each sealed
+/// segment in a head manifest.
 [[nodiscard]] std::string content_fingerprint(const std::string& bytes);
 
 /// Byte length of the longest record-valid prefix of JSONL content: every
@@ -120,7 +119,8 @@ struct unit_status {
 /// writer keeps on reopen and what `sync` compares across machines.
 [[nodiscard]] std::size_t valid_record_prefix(const std::string& content);
 
-/// One sealed (immutable) segment as recorded in a head manifest.
+/// One sealed (immutable) segment as recorded in a head manifest (written
+/// by earlier builds; read and verified, never written).
 struct sealed_segment {
     std::string file;
     std::size_t bytes = 0;
@@ -135,7 +135,6 @@ struct writer_head {
     std::vector<sealed_segment> sealed;
 };
 
-[[nodiscard]] json::value head_to_json(const writer_head& head);
 [[nodiscard]] writer_head head_from_json(const json::value& v);
 /// Loads head-<writer>.json into `out`; false when the file is absent.
 [[nodiscard]] bool load_writer_head(const std::string& directory, int writer, writer_head& out);
@@ -165,29 +164,15 @@ void atomic_write_file(const std::filesystem::path& path, const std::string& byt
 /// Reads a whole file into a string (binary); throws when unreadable.
 [[nodiscard]] std::string read_file_bytes(const std::filesystem::path& path);
 
-/// Knobs for opening a store for appending.
-struct store_options {
-    /// Writer (shard) id — names the segments this process appends to.
-    /// Writers of *different* ids can share one store directory safely.
-    int writer = 0;
-    /// Rotation threshold: the open segment is sealed once a flush leaves
-    /// it at or past this many bytes. 0 = QUBIKOS_CAMPAIGN_SEGMENT_BYTES
-    /// or the 8 MiB default. Segments may exceed the threshold by up to
-    /// one batch (rotation happens only on flush boundaries).
-    std::size_t segment_bytes = 0;
-};
-
 class result_store {
 public:
-    /// Opens `directory` for appending, creating it (and meta.json) if
-    /// absent. Replays every record file to learn which unit IDs are
-    /// already complete; a torn tail on the writer's open segment is
-    /// truncated away. A v1 store (lone runs.jsonl) resumes appending to
-    /// runs.jsonl unchanged; anything else appends to this writer's
-    /// segments. Throws if the store belongs to a different spec
-    /// (fingerprint mismatch) or a sealed segment fails verification.
-    result_store(const std::string& directory, const campaign_spec& spec,
-                 const store_options& options = {});
+    /// Opens `directory` for appending as `writer` (a shard id), creating
+    /// it (and meta.json) if absent. Replays every record file to learn
+    /// which unit IDs are already complete; a torn tail on the file this
+    /// writer appends to is truncated away. Throws if the store belongs
+    /// to a different spec (fingerprint mismatch) or a sealed segment
+    /// fails verification against its head manifest.
+    result_store(const std::string& directory, const campaign_spec& spec, int writer = 0);
     ~result_store();
 
     result_store(const result_store&) = delete;
@@ -209,14 +194,13 @@ public:
     /// Buffers one record (not yet durable until flush()).
     void append(const stored_run& run);
 
-    /// Writes the buffered records, fflushes and fsyncs, then rotates the
-    /// open segment if it crossed the size threshold. No-op when the
+    /// Writes the buffered records, fflushes and fsyncs. No-op when the
     /// buffer is empty.
     void flush();
 
     /// Reads every intact record of a store (no spec check), legacy file
     /// first then segments by (writer, seq). Torn tails are skipped only
-    /// on the newest segment of each writer; corruption anywhere else —
+    /// on the newest file of each writer; corruption anywhere else —
     /// including a sealed segment disagreeing with its head manifest —
     /// throws.
     [[nodiscard]] static std::vector<stored_run> load_runs(const std::string& directory);
@@ -230,29 +214,14 @@ public:
 
 private:
     void note(const stored_run& run);
-    void open_segment(long seq, std::size_t resume_bytes, std::uint64_t resume_hash,
-                      bool needs_newline);
-    void seal_and_rotate();
-    void write_head() const;
 
     std::string directory_;
-    /// Path of the file currently open for appending (runs.jsonl in
-    /// legacy mode, this writer's open segment otherwise).
+    /// Path of the one file this writer appends to.
     std::string runs_path_;
     std::FILE* file_ = nullptr;
     std::string buffer_;
     std::unordered_set<std::string> completed_;
     std::unordered_map<std::string, unit_status> statuses_;
-
-    bool legacy_mode_ = false;
-    int writer_ = 0;
-    long open_seq_ = 0;
-    std::size_t segment_bytes_ = 0;
-    /// Bytes and running FNV-1a state of the open segment's content.
-    std::size_t current_bytes_ = 0;
-    std::uint64_t current_hash_ = 0;
-    /// This writer's sealed segments (mirrored into head-<writer>.json).
-    std::vector<sealed_segment> sealed_;
 };
 
 /// Folds one record into a unit's status — THE attempt-counting rule

@@ -1,29 +1,30 @@
-// Multi-machine store sync: collect segmented result stores into one.
+// Multi-machine store sync: collect per-writer result stores into one.
 //
 // The campaign engine's distributed workflow is share-nothing: every
 // machine runs its own disjoint shard(s) into its own store directory.
 // `sync_stores` collects those directories into a destination store by
-// copying record segments, and only the segments it is missing — each
-// file is compared over its *durable* (record-valid) prefix, so an
-// already-identical segment is skipped
-// (re-sync is a no-op), a *grown* segment (the source writer appended
-// since the last sync — the only legal way a segment's records change,
-// since sealed segments are immutable and the open one is append-only)
-// is prefix-verified and replaced, and durable prefixes that disagree
-// are a hard error: append-only files that diverge mean two writers
-// shared a (writer, seq) name, a corrupt disk, or mixed experiments —
-// never something to paper over.
+// copying record files, and only the ones it is missing. Each file is
+// byte-compared with the destination's copy over its *durable*
+// (record-valid) prefix: an identical file is skipped (re-sync is a
+// no-op); a *grown* file (the source writer appended since the last
+// sync, the only legal way a file's records change, since every file is
+// append-only) is prefix-verified and replaced; and durable prefixes
+// that disagree are a hard error. Append-only files that diverge mean
+// two writers shared a (writer, seq) name, a corrupt disk, or mixed
+// experiments — never something to paper over.
 //
-// Pulling from a *live* writer is safe: a segment copied mid-append can
-// tear at most its final line, lands as the newest segment of that
-// writer in the destination (exactly where the read path tolerates a
-// torn tail), and is healed by a later sync once the writer has resumed
-// (truncating the torn line) and appended past it — which is exactly why
-// the content address covers only the record-valid prefix, not raw
-// bytes. Head manifests
-// are snapshotted before their segments are copied, so a head in the
-// destination never claims more sealed bytes than the files beside it
-// hold.
+// Pulling from a *live* writer is safe: a file copied mid-append can
+// tear at most its final line, lands as the newest file of that writer
+// in the destination (exactly where the read path tolerates a torn
+// tail), and is healed by a later sync once the writer has resumed
+// (truncating the torn line) and appended past it — which is why the
+// comparison covers only the record-valid prefix, not raw bytes.
+//
+// Stores from earlier builds may carry head-<writer>.json manifests
+// naming sealed segments. Sync copies them too, snapshotted before
+// their segments, so a head in the destination never claims more
+// sealed bytes than the files beside it hold; a head that has not
+// advanced past the destination's copy is skipped.
 //
 // Copies are atomic (temp + fsync + rename into the destination), so a
 // killed sync leaves the destination a valid store — at worst missing

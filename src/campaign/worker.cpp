@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "arch/architectures.hpp"
@@ -305,26 +304,6 @@ stored_run unit_executor::execute_captured(const work_unit& unit, int attempt) c
     }
 }
 
-stored_run execute_unit(const campaign_spec& spec, const work_unit& unit) {
-    // One-off executions reuse the last-built context: rebuilding the
-    // full toolbox and every device graph per call made single-unit use
-    // (tests, spot checks) pay the whole campaign's setup each time.
-    static std::mutex mutex;
-    static std::string cached_fingerprint;                  // NOLINT: guarded by mutex
-    static std::shared_ptr<const unit_executor> cached;     // NOLINT: guarded by mutex
-    std::shared_ptr<const unit_executor> executor;
-    const std::string fingerprint = spec_fingerprint(spec);
-    {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (cached == nullptr || cached_fingerprint != fingerprint) {
-            cached = std::make_shared<const unit_executor>(spec);
-            cached_fingerprint = fingerprint;
-        }
-        executor = cached;
-    }
-    return executor->execute(unit);
-}
-
 worker_report run_campaign_shard(const campaign_plan& plan, const std::string& store_dir,
                                  const worker_options& options) {
     if (options.threads < 0) {
@@ -337,10 +316,8 @@ worker_report run_campaign_shard(const campaign_plan& plan, const std::string& s
 
     // The shard id doubles as the store writer id, so any number of
     // shards — in one process or on many machines — write disjoint
-    // segment files and their stores sync/merge without collisions.
-    store_options store_opts;
-    store_opts.writer = options.shard;
-    result_store store(store_dir, plan.spec, store_opts);
+    // record files and their stores sync/merge without collisions.
+    result_store store(store_dir, plan.spec, options.shard);
     const std::vector<std::size_t> owned =
         shard_indices(plan.units.size(), options.shard, options.num_shards);
 

@@ -37,7 +37,7 @@ std::uint64_t mono_ns() {
 
 }  // namespace
 
-/// One parallel_for invocation: a shared chunked index cursor plus
+/// One parallel_for_slots invocation: a shared chunked index cursor plus
 /// participation bookkeeping. Participants pull chunks with fetch_add
 /// until the range is exhausted or the job is cancelled; the last worker
 /// to leave wakes the waiting publisher. `joined` and `active_workers`
@@ -201,19 +201,6 @@ void thread_pool::parallel_for_slots(std::size_t begin, std::size_t end,
         return;
     }
     job j(begin, end, chunk, width, &fn);
-    run_job(j);
-}
-
-void thread_pool::parallel_for(std::size_t begin, std::size_t end,
-                               const std::function<void(std::size_t)>& fn) {
-    if (begin >= end) return;
-    if (size_ == 1 || end - begin == 1) {
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-        return;
-    }
-    const std::function<void(std::size_t, std::size_t)> slotted =
-        [&fn](std::size_t i, std::size_t) { fn(i); };
-    job j(begin, end, /*chunk=*/1, size_, &slotted);
     run_job(j);
 }
 

@@ -84,6 +84,16 @@ TEST(arch, by_name_round_trip) {
     EXPECT_EQ(arch::by_name("ring6").num_couplers(), 6);
     EXPECT_EQ(arch::by_name("grid3x3").num_qubits(), 9);
     EXPECT_THROW(arch::by_name("hexagon99"), std::invalid_argument);
+    // Sizes parse strictly: the whole field, no overflow, and only the
+    // canonical spelling (by_name(s).name == s).
+    for (const auto& bad : {"line99999999999", "line5abc", "grid3x3junk", "grid50000x50000",
+                            "line07", "line", "line 5", "line-5", "ring+6", "grid3", "gridx3",
+                            "grid3x", "grid3x3x3"}) {
+        EXPECT_THROW(arch::by_name(bad), std::invalid_argument) << bad;
+    }
+    for (const auto& good : {"line2", "ring3", "grid1x1", "grid12x3", "tokyo20", "guadalupe16"}) {
+        EXPECT_EQ(arch::by_name(good).name, good);
+    }
     EXPECT_FALSE(arch::known_names().empty());
 }
 

@@ -684,11 +684,12 @@ TEST(campaign_fault, tampered_plan_is_detected_not_trusted) {
     const auto plan = campaign::expand_plan(spec);
     // A unit whose claimed count contradicts what the generator produces
     // must fail loudly instead of poisoning the ratios.
+    const campaign::unit_executor executor(spec);
     auto unit = plan.units[0];
     unit.designed_swaps += 1;
-    EXPECT_THROW((void)campaign::execute_unit(spec, unit), std::runtime_error);
-    // The untampered unit executes fine through the cached-context path.
-    const auto run = campaign::execute_unit(spec, plan.units[0]);
+    EXPECT_THROW((void)executor.execute(unit), std::runtime_error);
+    // The untampered unit executes fine on the same executor.
+    const auto run = executor.execute(plan.units[0]);
     EXPECT_FALSE(run.failed());
     EXPECT_EQ(run.record.designed_swaps, plan.units[0].designed_swaps);
 }

@@ -1,12 +1,16 @@
-// Segmented-store and multi-machine sync tests: rotation, head
-// manifests, the torn-tail-only-on-newest rule, content-addressed sync
-// (idempotent, grow-only), v1 interop — and the distributed guarantee:
-// stores collected over `campaign sync` merge into a report that is
-// byte-identical to a single-process run.
+// Segmented-store and multi-machine sync tests: one record file per
+// writer, stores from builds that rotated segments (head manifests, the
+// torn-tail-only-on-newest rule), grow-only sync (idempotent), v1
+// interop — and the distributed guarantee: stores collected over
+// `campaign sync` merge into a report that is byte-identical to a
+// single-process run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,83 +56,164 @@ std::vector<campaign::store_file> segments_of(const std::string& dir, int writer
     return out;
 }
 
-/// Runs one shard with a tiny rotation threshold so even a mini-campaign
-/// spans several segments.
+/// Runs one shard with small batches, so even a mini-campaign flushes
+/// several times.
 campaign::worker_options shard_options(int shard, int num_shards) {
     campaign::worker_options options;
     options.shard = shard;
     options.num_shards = num_shards;
-    options.batch_size = 2;  // several flushes -> several rotation points
+    options.batch_size = 2;
     return options;
 }
 
-class scoped_segment_bytes {
-public:
-    explicit scoped_segment_bytes(const char* value) {
-        ::setenv("QUBIKOS_CAMPAIGN_SEGMENT_BYTES", value, 1);
-    }
-    ~scoped_segment_bytes() { ::unsetenv("QUBIKOS_CAMPAIGN_SEGMENT_BYTES"); }
-    scoped_segment_bytes(const scoped_segment_bytes&) = delete;
-    scoped_segment_bytes& operator=(const scoped_segment_bytes&) = delete;
-};
+void write_meta(const std::string& dir, const campaign::campaign_spec& spec) {
+    json::object meta;
+    meta["schema"] = "qubikos.campaign_store.v1";
+    meta["name"] = spec.name;
+    meta["fingerprint"] = campaign::spec_fingerprint(spec);
+    meta["spec"] = campaign::spec_to_json(spec);
+    std::ofstream(dir + "/meta.json") << json::value(std::move(meta)).dump(2) << "\n";
+}
 
-TEST(campaign_segments, rotation_seals_segments_and_reloads_everything) {
+json::value sealed_entry(const std::string& file, const std::string& bytes) {
+    json::object entry;
+    entry["file"] = file;
+    entry["bytes"] = bytes.size();
+    entry["fingerprint"] = campaign::content_fingerprint(bytes);
+    return json::value(std::move(entry));
+}
+
+/// Hand-builds what a build that rotated segments left behind for writer
+/// 0: runs-0-000000.jsonl (units 0 and 1), sealed in head-0.json with its
+/// byte length and content fingerprint, then runs-0-000001.jsonl (unit
+/// 2). With `open_seq` 1 the second segment is the open one and ends in a
+/// torn tail. With `open_seq` 2 it is sealed too: the writer crashed
+/// after sealing it and before creating seq 2.
+void write_rotated_store(const std::string& dir, const campaign::campaign_plan& plan,
+                         long open_seq) {
+    write_meta(dir, plan.spec);
+    const campaign::unit_executor executor(plan.spec);
+    const auto line = [&](std::size_t i) {
+        return campaign::run_to_json(executor.execute(plan.units[i])).dump() + "\n";
+    };
+    const std::string seq0 = line(0) + line(1);
+    const std::string seq1 = line(2);
+    const std::string name0 = campaign::segment_file_name(0, 0);
+    const std::string name1 = campaign::segment_file_name(0, 1);
+    std::ofstream(dir + "/" + name0, std::ios::binary) << seq0;
+    json::array sealed;
+    sealed.push_back(sealed_entry(name0, seq0));
+    if (open_seq == 2) {
+        std::ofstream(dir + "/" + name1, std::ios::binary) << seq1;
+        sealed.push_back(sealed_entry(name1, seq1));
+    } else {
+        std::ofstream(dir + "/" + name1, std::ios::binary) << seq1 << "{\"unit_id\": \"torn-by-cra";
+    }
+    json::object head;
+    head["schema"] = "qubikos.campaign_head.v1";
+    head["writer"] = 0;
+    head["open_seq"] = static_cast<std::int64_t>(open_seq);
+    head["sealed"] = std::move(sealed);
+    std::ofstream(dir + "/head-0.json") << json::value(std::move(head)).dump(2) << "\n";
+}
+
+std::string file_bytes(const std::string& dir, const std::string& name) {
+    return campaign::read_file_bytes(std::filesystem::path(dir) / name);
+}
+
+TEST(campaign_segments, fresh_store_keeps_one_file_per_writer_and_no_head) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
-    const std::string dir = scratch_dir("rotate");
+    const std::string dir = scratch_dir("one_file");
 
-    const scoped_segment_bytes tiny("300");
-    (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
+    // Two writers share the directory; each flushes several batches.
+    (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 2));
+    (void)campaign::run_campaign_shard(plan, dir, shard_options(1, 2));
 
-    // The store rotated: several sealed segments plus the open one, all
-    // owned by writer 0, and the head manifest records every seal.
-    const auto segments = segments_of(dir, 0);
-    ASSERT_GE(segments.size(), 3u);
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-        EXPECT_EQ(segments[i].seq, static_cast<long>(i));
-        EXPECT_EQ(segments[i].newest_of_writer, i + 1 == segments.size());
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        names.push_back(entry.path().filename().string());
     }
-    campaign::writer_head head;
-    ASSERT_TRUE(campaign::load_writer_head(dir, 0, head));
-    EXPECT_EQ(head.writer, 0);
-    EXPECT_EQ(head.open_seq, segments.back().seq);
-    EXPECT_EQ(head.sealed.size(), segments.size() - 1);
-
-    // Every record is reachable across the segment boundary, and a
-    // reopened store resumes (nothing re-executes).
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"meta.json", campaign::segment_file_name(0, 0),
+                                               campaign::segment_file_name(1, 0)}));
     EXPECT_EQ(campaign::result_store::load_runs(dir).size(), plan.units.size());
-    const auto resumed = campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
-    EXPECT_EQ(resumed.skipped, plan.units.size());
-    EXPECT_EQ(resumed.executed, 0u);
+}
 
-    // The merged result is complete, so rotation lost nothing.
+TEST(campaign_segments, rotated_store_loads_and_resumes_into_its_open_segment) {
+    const auto spec = small_spec();
+    const auto plan = campaign::expand_plan(spec);
+    const std::string dir = scratch_dir("rotated");
+    write_rotated_store(dir, plan, 1);
+    const std::string head = file_bytes(dir, "head-0.json");
+    const std::string seq0 = file_bytes(dir, campaign::segment_file_name(0, 0));
+
+    // Every record loads across the segment boundary (the torn tail of
+    // the open segment is dropped).
+    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 3u);
+
+    // A resume appends to seq 1 and touches neither seq 0 nor the head.
+    auto options = shard_options(0, 1);
+    options.max_units = 2;
+    const auto report = campaign::run_campaign_shard(plan, dir, options);
+    EXPECT_EQ(report.skipped, 3u);
+    EXPECT_EQ(report.executed, 2u);
+    const auto segments = segments_of(dir, 0);
+    ASSERT_EQ(segments.size(), 2u);
+    EXPECT_EQ(segments.back().seq, 1);
+    EXPECT_EQ(file_bytes(dir, campaign::segment_file_name(0, 0)), seq0);
+    EXPECT_EQ(file_bytes(dir, "head-0.json"), head);
+    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 5u);
+
+    // Finishing the run still lands in seq 1 and loses nothing.
+    (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
+    EXPECT_EQ(segments_of(dir, 0).size(), 2u);
+    EXPECT_EQ(file_bytes(dir, "head-0.json"), head);
     EXPECT_TRUE(campaign::merge_stores(plan, {dir}).complete());
+}
+
+TEST(campaign_segments, head_open_seq_past_newest_segment_opens_that_seq) {
+    const auto spec = small_spec();
+    const auto plan = campaign::expand_plan(spec);
+    const std::string dir = scratch_dir("open_seq");
+    write_rotated_store(dir, plan, 2);
+    const std::string head = file_bytes(dir, "head-0.json");
+    const std::string seq1 = file_bytes(dir, campaign::segment_file_name(0, 1));
+
+    // Seq 1 is sealed, so the writer must not append to it: it opens the
+    // fresh seq 2 the head names.
+    auto options = shard_options(0, 1);
+    options.max_units = 1;
+    const auto report = campaign::run_campaign_shard(plan, dir, options);
+    EXPECT_EQ(report.executed, 1u);
+    const auto segments = segments_of(dir, 0);
+    ASSERT_EQ(segments.size(), 3u);
+    EXPECT_EQ(segments.back().seq, 2);
+    EXPECT_EQ(file_bytes(dir, campaign::segment_file_name(0, 1)), seq1);
+    EXPECT_EQ(file_bytes(dir, "head-0.json"), head);
+    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 4u);
 }
 
 TEST(campaign_segments, torn_tail_tolerated_only_on_newest_segment) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
     const std::string dir = scratch_dir("torn");
+    write_rotated_store(dir, plan, 1);
 
-    const scoped_segment_bytes tiny("300");
-    (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
-    const auto segments = segments_of(dir, 0);
-    ASSERT_GE(segments.size(), 2u);
+    // Torn bytes on the newest (open) segment are the crash signature:
+    // tolerated.
+    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 3u);
 
-    // Torn bytes on the newest (open) segment are the crash signature —
-    // tolerated, and truncated away on reopen.
-    const std::size_t intact = campaign::result_store::load_runs(dir).size();
+    // The same bytes on an older segment are corruption: nothing
+    // legitimate appends there, so nothing legitimate can have torn it.
     {
-        std::ofstream tail(dir + "/" + segments.back().name, std::ios::app);
+        std::ofstream tail(dir + "/" + campaign::segment_file_name(0, 0), std::ios::app);
         tail << "{\"unit_id\": \"torn-by-cra";
     }
-    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), intact);
-
-    // The same bytes on a *sealed* segment are corruption: sealed
-    // segments are immutable, so nothing legitimate can have torn them.
-    std::ofstream tail(dir + "/" + segments.front().name, std::ios::app);
-    tail << "{\"unit_id\": \"torn-by-cra";
-    tail.close();
+    EXPECT_THROW((void)campaign::result_store::load_runs(dir), std::runtime_error);
+    EXPECT_THROW({ const campaign::result_store store(dir, spec); }, std::runtime_error);
+    // The rule holds on its own, without the head's fingerprint.
+    std::filesystem::remove(dir + "/head-0.json");
     EXPECT_THROW((void)campaign::result_store::load_runs(dir), std::runtime_error);
 }
 
@@ -136,33 +221,23 @@ TEST(campaign_segments, sealed_segment_must_match_its_head_manifest) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
     const std::string dir = scratch_dir("tamper");
+    write_rotated_store(dir, plan, 1);
 
-    const scoped_segment_bytes tiny("300");
-    (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
-    const auto segments = segments_of(dir, 0);
-    ASSERT_GE(segments.size(), 2u);
-
-    // Flip one byte inside a sealed segment, keeping it parseable JSON —
+    // Flip one byte inside the sealed segment, keeping it parseable JSON:
     // the head manifest's content fingerprint still catches it.
-    const std::string path = dir + "/" + segments.front().name;
-    std::string content;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
-    }
+    const std::string path = dir + "/" + campaign::segment_file_name(0, 0);
+    std::string content = file_bytes(dir, campaign::segment_file_name(0, 0));
     const std::size_t digit = content.find("\"seconds\":");
     ASSERT_NE(digit, std::string::npos);
     content[digit + 10] = content[digit + 10] == '1' ? '2' : '1';
     std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
     EXPECT_THROW((void)campaign::result_store::load_runs(dir), std::runtime_error);
+    EXPECT_THROW({ const campaign::result_store store(dir, spec); }, std::runtime_error);
 }
 
 TEST(campaign_sync, two_machine_campaign_merges_byte_identical_to_single_process) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
-    const scoped_segment_bytes tiny("300");
 
     // Single-process reference.
     const std::string single = scratch_dir("sync_single");
@@ -192,10 +267,10 @@ TEST(campaign_sync, two_machine_campaign_merges_byte_identical_to_single_process
     EXPECT_GT(first.copied, 0u);
 
     // Machine B resumes and finishes; the next sync copies only the
-    // missing/grown segments.
+    // grown segment.
     (void)campaign::run_campaign_shard(plan, machine_b, shard_options(1, 2));
     const auto second = campaign::sync_stores(collected, {machine_a, machine_b});
-    EXPECT_FALSE(second.noop());  // B's segments grew or rotated
+    EXPECT_FALSE(second.noop());  // B's segment grew
     EXPECT_GT(second.unchanged, 0u);  // A's did not
 
     // The collected store merges byte-identical to the single-process
@@ -213,7 +288,6 @@ TEST(campaign_sync, two_machine_campaign_merges_byte_identical_to_single_process
 TEST(campaign_sync, resync_is_a_noop) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
-    const scoped_segment_bytes tiny("300");
 
     const std::string src = scratch_dir("noop_src");
     (void)campaign::run_campaign_shard(plan, src, shard_options(0, 1));
@@ -294,18 +368,11 @@ TEST(campaign_sync, legacy_v1_source_participates) {
     const auto plan = campaign::expand_plan(spec);
 
     // A hand-built v1 store (single runs.jsonl) next to a segmented one.
+    const campaign::unit_executor executor(spec);
     const std::string v1 = scratch_dir("legacy_v1");
-    {
-        json::object meta;
-        meta["schema"] = "qubikos.campaign_store.v1";
-        meta["name"] = spec.name;
-        meta["fingerprint"] = campaign::spec_fingerprint(spec);
-        meta["spec"] = campaign::spec_to_json(spec);
-        std::ofstream(v1 + "/meta.json") << json::value(std::move(meta)).dump(2) << "\n";
-        std::ofstream out(v1 + "/runs.jsonl");
-        out << campaign::run_to_json(campaign::execute_unit(spec, plan.units[0])).dump()
-            << "\n";
-    }
+    write_meta(v1, spec);
+    std::ofstream(v1 + "/runs.jsonl")
+        << campaign::run_to_json(executor.execute(plan.units[0])).dump() << "\n";
     const std::string seg = scratch_dir("legacy_seg");
     (void)campaign::run_campaign_shard(plan, seg, {});
 
@@ -318,17 +385,9 @@ TEST(campaign_sync, legacy_v1_source_participates) {
 
     // A second, different v1 store collides on the runs.jsonl name.
     const std::string v1b = scratch_dir("legacy_v1b");
-    {
-        json::object meta;
-        meta["schema"] = "qubikos.campaign_store.v1";
-        meta["name"] = spec.name;
-        meta["fingerprint"] = campaign::spec_fingerprint(spec);
-        meta["spec"] = campaign::spec_to_json(spec);
-        std::ofstream(v1b + "/meta.json") << json::value(std::move(meta)).dump(2) << "\n";
-        std::ofstream out(v1b + "/runs.jsonl");
-        out << campaign::run_to_json(campaign::execute_unit(spec, plan.units[1])).dump()
-            << "\n";
-    }
+    write_meta(v1b, spec);
+    std::ofstream(v1b + "/runs.jsonl")
+        << campaign::run_to_json(executor.execute(plan.units[1])).dump() << "\n";
     EXPECT_THROW((void)campaign::sync_stores(dest, {v1b}), std::runtime_error);
 }
 

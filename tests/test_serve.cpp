@@ -191,6 +191,8 @@ TEST(serve_request, unknown_device_and_bad_qasm_reject_at_execution) {
     serve::engine eng;
     EXPECT_EQ(error_code_of(serve::handle_line(eng, route_line("x", "atlantis9000", 1))),
               "unknown_device");
+    EXPECT_EQ(error_code_of(serve::handle_line(eng, route_line("x", "line99999999999", 1))),
+              "unknown_device");
     const std::string bad_qasm =
         "{\"id\":\"x\",\"op\":\"route\",\"device\":\"grid3x3\",\"tool\":\"lightsabre\","
         "\"qasm\":\"OPENQASM 2.0; garbage\"}";
